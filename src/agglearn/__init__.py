@@ -47,7 +47,7 @@ from .posteriors import (
     posterior_triplet,
     to_cumulative,
 )
-from .tasks import Task, aggregate_label, consistent_tuples, enumerate_z
+from .tasks import TASKS, Task, TaskSpec, aggregate_label, consistent_tuples, enumerate_z
 from .training import (
     EpochRecord,
     TrainConfig,
@@ -69,7 +69,9 @@ __all__ = [
     "GroupObservation",
     "GroupPosterior",
     "SyntheticSpec",
+    "TASKS",
     "Task",
+    "TaskSpec",
     "TrainConfig",
     "TrainResult",
     "TrainingAbortError",

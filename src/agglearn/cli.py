@@ -24,31 +24,21 @@ import numpy as np
 
 from . import data as data_mod
 from .data import SyntheticSpec
-from .evaluation import accuracy, confusion_counts, group_accuracy_mil, matched_accuracy, modified_accuracy
+from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
 from .models import Classifier
 from .posteriors import brute_force_posterior, group_posterior
-from .tasks import Task
+from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
-from .verify import SUITES, run_suite
+from .verify import SUITES, random_etas, random_z, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-MATCHED_TASKS = ("pairwise", "triplet")
-
 
 class UsageError(ValueError):
     pass
-
-
-def _head_for_task(task: Task) -> str:
-    if task.kind == "mil":
-        return "sigmoid"
-    if task.kind in ("rank", "ordinal_triplet"):
-        return "cumulative"
-    return "softmax"
 
 
 def _config_hash(resolved: dict) -> str:
@@ -96,12 +86,15 @@ def _write_json(path: str, doc: dict) -> None:
 def _build_task(resolved: dict) -> Task:
     _require(resolved, "task")
     kind = resolved["task"]
+    if kind not in TASKS:
+        raise UsageError(f"unknown task kind {kind!r}; expected one of {list(TASKS)}")
+    spec = TASKS[kind]
     m = resolved.get("m")
     if m is None:
-        m = {"pairwise": 2, "triplet": 3, "rank": 2, "ordinal_triplet": 3}.get(kind)
+        m = spec.m
     if m is None:
         raise UsageError(f"task {kind!r} needs an explicit --m")
-    k = 2 if kind == "mil" else resolved.get("k")
+    k = spec.k or resolved.get("k")
     if k is None:
         raise UsageError("missing required option --k")
     return Task(kind, m=int(m), k=int(k))
@@ -193,10 +186,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"observations are for task {observations[0].task_kind!r}, not {task.kind!r}"
         )
 
-    arch = resolved["arch"] or ("linear" if task.kind == "mil" else "mlp-300")
-    head = _head_for_task(task)
+    arch = resolved["arch"] or task.spec.arch
+    head = task.spec.head
     d = observations[0].xs.shape[1]
-    n_classes = 2 if task.kind == "mil" else task.k
     seed = int(resolved["seed"] or 0)
 
     profile = resolved["profile"] or "small"
@@ -231,7 +223,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved.update({"arch": arch, "head": head, "method": method, "m": task.m, "k": task.k})
     config_hash = _config_hash(resolved)
 
-    model = Classifier.create(arch, head, d=d, k=n_classes, seed=seed)
+    model = Classifier.create(arch, head, d=d, k=task.k, seed=seed)
     result = train(observations, task, model, train_config)
 
     # class identities travel with the pipeline: the sampling step records
@@ -274,10 +266,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if resolved.get("k") is None:
         resolved["k"] = model.k
     task = _build_task(resolved)
-    if model.head != _head_for_task(task):
+    if model.head != task.spec.head:
         raise UsageError(
             f"checkpoint head {model.head!r} does not fit task {task.kind!r} "
-            f"(expects {_head_for_task(task)!r})"
+            f"(expects {task.spec.head!r})"
         )
     label_column = resolved["label_column"] or "label"
     test = data_mod.load_csv(resolved["data"], label_column=label_column)
@@ -290,38 +282,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if fit is not None:
         fit = fit.relabel_to(canonical)
 
-    report: dict = {"task": task.kind, "label_names": canonical}
-    if task.kind == "mil":
-        positive = resolved["positive_label"] or test.k
-        labels01 = (test.labels == positive).astype(np.int64)
-        preds = model.predict(test.features)
-        report["accuracy"] = accuracy(preds, labels01)
-        if resolved["obs"]:
-            observations = data_mod.load_observations(resolved["obs"])
-            report["group_accuracy"] = group_accuracy_mil(model, observations)
-    else:
-        preds = model.predict(test.features)
-        report["accuracy"] = accuracy(preds, test.labels)
-        if task.kind in MATCHED_TASKS:
-            if fit is not None:
-                _, perm = modified_accuracy(
-                    confusion_counts(model.predict(fit.features), fit.labels, task.k)
-                )
-                frac, _ = matched_accuracy(preds, test.labels, task.k, perm=perm)
-            elif resolved["fit_on_test"]:
-                frac, perm = matched_accuracy(preds, test.labels, task.k)
-            else:
-                raise UsageError(
-                    "matched accuracy needs --fit-data (validation split) or --fit-on-test"
-                )
-            report["modified_accuracy"] = frac
-            report["permutation"] = [int(p) for p in perm]
-        else:
-            # Identifiable tasks: the identity matching is still reported for
-            # symmetry of the report schema.
-            frac, perm = matched_accuracy(preds, test.labels, task.k)
-            report["modified_accuracy"] = frac
-            report["permutation"] = [int(p) for p in perm]
+    positive = resolved["positive_label"]
+    labels = test.task_labels(task, positive)
+    preds = model.predict(test.features)
+    report: dict = {"task": task.kind, "label_names": canonical, "accuracy": accuracy(preds, labels)}
+    if resolved["obs"]:
+        report["group_accuracy"] = group_accuracy_mil(model, data_mod.load_observations(resolved["obs"]))
+
+    # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
+    shift = 1 - task.label_values[0]
+    perm = None  # fit the matching on the test split itself
+    if not task.spec.identifiable:
+        if fit is not None:
+            fit_labels = fit.task_labels(task, positive) + shift
+            _, perm = matched_accuracy(model.predict(fit.features) + shift, fit_labels, task.k)
+        elif not resolved["fit_on_test"]:
+            raise UsageError("matched accuracy needs --fit-data (validation split) or --fit-on-test")
+    frac, perm = matched_accuracy(preds + shift, labels + shift, task.k, perm=perm)
+    report["modified_accuracy"] = frac
+    report["permutation"] = [int(p) for p in perm]
 
     report["config_hash"] = _config_hash(resolved)
     out = _out_dir(args.out_dir)
@@ -352,13 +331,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     repeats = int(args.repeats or 20)
     for task in specs:
-        n_classes = 2 if task.kind == "mil" else task.k
-        etas = rng.dirichlet(np.ones(n_classes), size=task.m)
-        if task.kind == "llp":
-            labels = rng.integers(1, task.k + 1, size=task.m)
-            z = tuple(int(c) for c in np.bincount(labels, minlength=task.k + 1)[1:])
-        else:
-            z = 1
+        etas = random_etas(task, rng)
+        z = random_z(task, rng)
         t0 = time.perf_counter()
         for _ in range(repeats):
             group_posterior(task, etas, z)
@@ -403,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="sample aggregate observations from a dataset")
     _add_common(p)
     p.add_argument("--data")
-    p.add_argument("--task", choices=["pairwise", "triplet", "llp", "mil", "rank", "ordinal_triplet"])
+    p.add_argument("--task", choices=list(TASKS))
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n-groups", dest="n_groups", type=int)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tasks import Task, aggregate_label
+from .tasks import TASKS, Task, aggregate_label
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -81,6 +81,19 @@ class Dataset:
         position = {name: i + 1 for i, name in enumerate(names)}
         mapping = np.array([position[name] for name in self.label_names])
         return Dataset(self.features, mapping[self.labels - 1], k=len(names), label_names=list(names))
+
+    def task_labels(self, task: Task, positive_label: int | None = None) -> np.ndarray:
+        """The labels in the task's alphabet: 1..k as stored, or for the {0,1}
+        bag alphabet the indicator of ``positive_label`` (default: the highest
+        class)."""
+        if task.spec.first_label == 1:
+            if self.k > task.k:
+                raise ValueError(f"dataset has {self.k} classes but task expects at most {task.k}")
+            return self.labels
+        positive = self.k if positive_label is None else positive_label
+        if not 1 <= positive <= self.k:
+            raise ValueError(f"positive label {positive} outside 1..{self.k}")
+        return (self.labels == positive).astype(np.int64)
 
 
 @dataclass
@@ -200,8 +213,8 @@ class GroupObservation:
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
-        if self.xs.ndim != 2:
-            raise ValueError("group features must be (m, d)")
+        if self.xs.ndim != 2 or self.xs.size == 0:
+            raise ValueError("group features must be a non-empty (m, d) array")
 
     @property
     def m(self) -> int:
@@ -221,26 +234,16 @@ def sample_groups(
     Group members are independent draws from the dataset; z is computed
     from the members' true labels, so observed labels are always
     consistent with the hidden ones. ``m`` must match the task's group
-    size. For MIL the dataset's 1..k labels map to {0,1} by the indicator
-    of ``positive_label`` (default: the highest class).
+    size. Labels map into the task's alphabet with ``Dataset.task_labels``.
     """
     if m != task.m:
         raise ValueError(f"group size {m} does not match task {task.kind!r} (m={task.m})")
-    if task.kind == "mil":
-        if positive_label is None:
-            positive_label = dataset.k
-        if not 1 <= positive_label <= dataset.k:
-            raise ValueError(f"positive label {positive_label} outside 1..{dataset.k}")
-    elif dataset.k > task.k:
-        raise ValueError(f"dataset has {dataset.k} classes but task expects at most {task.k}")
+    labels = dataset.task_labels(task, positive_label)
     rng = _rng(seed)
     draws = rng.integers(0, dataset.n, size=(n_groups, m))
     observations = []
     for row in draws:
-        member_labels = dataset.labels[row]
-        if task.kind == "mil":
-            member_labels = (member_labels == positive_label).astype(np.int64)
-        z = aggregate_label(task, member_labels)
+        z = aggregate_label(task, labels[row])
         observations.append(
             GroupObservation(xs=dataset.features[row], z=z, task_kind=task.kind, indices=row.copy())
         )
@@ -256,25 +259,59 @@ def save_observations(observations: list[GroupObservation], path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
+# raw_decode on stripped lines skips the two whitespace scans of json.loads,
+# which pays for the validation below on files of small groups
+_JSON = json.JSONDecoder()
+
+
+def _parse_observation(line: str) -> GroupObservation:
+    doc, end = _JSON.raw_decode(line)  # a JSONDecodeError is a ValueError
+    if end != len(line):
+        raise ValueError("extra data after the JSON object")
+    try:
+        xs, z, kind = doc["xs"], doc["z"], doc["task"]
+    except (KeyError, TypeError):
+        raise ValueError('expected a JSON object with keys "xs", "z" and "task"') from None
+    if not isinstance(kind, str) or kind not in TASKS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    try:
+        obs = GroupObservation(xs=xs, z=z, task_kind=kind)
+    except (TypeError, ValueError):
+        raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
+    obs.z = TASKS[kind].parse_z(z, obs.m)
+    return obs
+
+
 def load_observations(path) -> list[GroupObservation]:
-    """Read a JSON-lines observation file; all lines must share one task kind."""
+    """Read a JSON-lines observation file; all lines must share one task kind
+    and one feature width. A bad line raises ValueError naming ``path:line``."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"observation file not found: {path}")
     observations = []
-    kinds = set()
+    line_nos = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            z = doc["z"]
-            z = tuple(int(c) for c in z) if isinstance(z, list) else int(z)
-            obs = GroupObservation(xs=np.array(doc["xs"]), z=z, task_kind=doc["task"])
-            kinds.add(obs.task_kind)
+            try:
+                obs = _parse_observation(line)
+                if not observations:
+                    kind, width = obs.task_kind, obs.xs.shape[1]
+                if obs.task_kind != kind:
+                    raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
+                if obs.xs.shape[1] != width:
+                    raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             observations.append(obs)
+            line_nos.append(line_no)
     if not observations:
         raise ValueError(f"no observations in {path}")
-    if len(kinds) > 1:
-        raise ValueError(f"mixed task kinds in one file: {sorted(kinds)}")
+    # one vectorized pass: a numpy call per line adds a fifth to the load time of small groups
+    finite = np.isfinite(np.concatenate([obs.xs for obs in observations])).all(axis=1)
+    if not finite.all():
+        ends = np.cumsum([obs.m for obs in observations])
+        line_no = line_nos[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise ValueError(f"{path}:{line_no}: non-finite feature value")
     return observations

@@ -61,21 +61,6 @@ def compute_weights(posterior: GroupPosterior) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _class_probs_and_cache(model: Classifier, xs: np.ndarray):
-    """Forward pass returning per-class probabilities with the backprop cache."""
-    logits, cache = model.forward_cached(xs)
-    if model.head == "sigmoid":
-        padded = np.concatenate([np.zeros_like(logits), logits], axis=1)
-        shifted = padded - padded.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-    else:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-    return probs, cache
-
-
 def _to_logit_grad(model: Classifier, dprob_style: np.ndarray) -> np.ndarray:
     """Map a (rowsums*probs - target)-style gradient to the model's logits.
 
@@ -116,7 +101,8 @@ def aggregate_loss(xs, weights, model: Classifier, instance_loss=None):
         loss = float((weights * values).sum() / m)
         dlogits = np.einsum("ij,ijc->ic", weights, np.asarray(dvalues)) / m
         return loss, model.backward(dlogits, cache)
-    probs, cache = _class_probs_and_cache(model, xs)
+    logits, cache = model.forward_cached(xs)
+    probs = model.probabilities(logits)
     if weights.shape[1] != probs.shape[1]:
         raise ValueError("weights and class count disagree")
     logp = np.log(np.maximum(probs, PROB_EPS))
@@ -136,7 +122,8 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
     Returns (loss, grads).
     """
     xs = np.asarray(xs, dtype=np.float64)
-    probs, cache = _class_probs_and_cache(model, xs)
+    logits, cache = model.forward_cached(xs)
+    probs = model.probabilities(logits)
     post = group_posterior(task, probs, z)
     pz = max(post.pz, PZ_FLOOR)
     loss = float(-np.log(pz))
@@ -153,7 +140,7 @@ def estep_omega(task: Task, etas, z) -> np.ndarray:
     """
     etas = np.clip(np.asarray(etas, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     tuples = consistent_tuples(task, z, max_tuples=EM_MAX_TUPLES, m=etas.shape[0])
-    offset = 0 if task.kind == "mil" else 1
+    offset = task.label_values[0]
     masses = np.array(
         [np.prod([etas[i, y - offset] for i, y in enumerate(tup)]) for tup in tuples]
     )
@@ -182,7 +169,7 @@ def em_lower_bound(task: Task, xs, z, omega, model: Classifier) -> float:
     if np.any(omega < -1e-12) or abs(omega.sum() - 1.0) > 1e-9:
         raise ValueError("omega must be a distribution over the consistent tuples")
     etas = np.clip(np.atleast_2d(model.predict_proba(xs)), PROB_EPS, 1.0 - PROB_EPS)
-    offset = 0 if task.kind == "mil" else 1
+    offset = task.label_values[0]
     bound = 0.0
     for tup, w in zip(tuples, omega):
         if w <= 0.0:

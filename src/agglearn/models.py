@@ -166,18 +166,19 @@ class Classifier:
         dhidden[cache["pre"] <= 0.0] = 0.0
         return [x.T @ dhidden, dhidden.sum(axis=0), dw2, db2]
 
+    def probabilities(self, logits: np.ndarray) -> np.ndarray:
+        """Per-class probabilities (n, k) from logits (n, out_dim); the sigmoid
+        head turns its single logit f into (1-s(f), s(f))."""
+        if self.head == "sigmoid":
+            # softmax over (0, f) == logistic sigmoid of the single logit
+            logits = np.concatenate([np.zeros_like(logits), logits], axis=1)
+        return softmax(logits)
+
     def predict_proba(self, x) -> np.ndarray:
         """Per-class probabilities (n, k); sigmoid head returns (1-s, s) pairs."""
         logits = self.forward(x)
-        single = logits.ndim == 1
-        logits = np.atleast_2d(logits)
-        if self.head == "sigmoid":
-            # softmax over (0, f) == logistic sigmoid of the single logit
-            padded = np.concatenate([np.zeros_like(logits), logits], axis=1)
-            probs = softmax(padded)
-        else:
-            probs = softmax(logits)
-        return probs[0] if single else probs
+        probs = self.probabilities(np.atleast_2d(logits))
+        return probs[0] if logits.ndim == 1 else probs
 
     def predict_cumulative(self, x) -> np.ndarray:
         """Running-sum probabilities (n, k+1) for the ordinal tasks."""

@@ -28,10 +28,12 @@ definition of the consistent set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tasks import Task
+if TYPE_CHECKING:
+    from .tasks import Task
 
 # Probability clamp applied to inputs before products, and the floor under
 # pz when it is used as a divisor or inside a log.
@@ -49,14 +51,6 @@ class GroupPosterior:
 
     pz: float
     joint: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.joint.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.joint.shape[1]
 
 
 def _clamp_probs(eta) -> np.ndarray:
@@ -78,10 +72,9 @@ def to_cumulative(probs) -> np.ndarray:
     return cum
 
 
-def from_cumulative(cum) -> np.ndarray:
-    """Cumulative vector (k+1,) -> per-class probabilities (k,)."""
-    cum = _check_cumulative(cum)
-    return np.diff(cum)
+def cumulative_rows(etas) -> list[np.ndarray]:
+    """Clamped per-class rows (m, k) -> one cumulative vector (k+1,) per instance."""
+    return [to_cumulative(row) for row in _clamp_probs(etas)]
 
 
 def _check_cumulative(cum) -> np.ndarray:
@@ -339,72 +332,11 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 2:
         raise ValueError("etas must be (m, k)")
-    if task.kind in ("llp", "mil"):
-        if etas.shape[0] < 2:
-            raise ValueError(f"task {task.kind!r} requires groups of at least 2 instances")
-    elif etas.shape[0] != task.m:
-        raise ValueError(f"got {etas.shape[0]} instances for a task with m={task.m}")
+    task.check_group_size(etas.shape[0])
     if np.any(np.abs(etas.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("each probability row must sum to 1")
-    if task.kind == "pairwise":
-        return posterior_pairwise(etas[0], etas[1], int(z))
-    if task.kind == "triplet":
-        return posterior_triplet(etas[0], etas[1], etas[2], int(z))
-    if task.kind == "llp":
-        return posterior_llp(etas, z)
-    if task.kind == "mil":
-        return posterior_mil(etas, int(z))
-    if task.kind == "rank":
-        clamped = _clamp_probs(etas)
-        return posterior_rank(to_cumulative(clamped[0]), to_cumulative(clamped[1]), int(z))
-    if task.kind == "ordinal_triplet":
-        clamped = _clamp_probs(etas)
-        return posterior_ordinal_triplet(
-            to_cumulative(clamped[0]),
-            to_cumulative(clamped[1]),
-            to_cumulative(clamped[2]),
-            int(z),
-        )
-    raise AssertionError(task.kind)
-
-
-def _label_grids(task: Task, m: int) -> list[np.ndarray]:
-    """Open (broadcastable) label-value grids, one axis per group member."""
-    values = np.array(task.label_values)
-    n = values.shape[0]
-    grids = []
-    for i in range(m):
-        shape = [1] * m
-        shape[i] = n
-        grids.append(values.reshape(shape))
-    return grids
-
-
-def _consistency_mask(task: Task, z, m: int) -> np.ndarray:
-    """Boolean tensor over the full label space marking g(y_1..m) = z."""
-    g = _label_grids(task, m)
-    full_shape = tuple(len(task.label_values) for _ in range(m))
-    if task.kind == "pairwise":
-        mask = g[0] == g[1]
-    elif task.kind == "triplet":
-        mask = (g[0] == g[1]) & (g[0] != g[2])
-    elif task.kind == "mil":
-        mask = np.maximum.reduce([np.broadcast_to(a, full_shape) for a in g]) == 1
-    elif task.kind == "rank":
-        mask = g[0] < g[1]
-    elif task.kind == "ordinal_triplet":
-        mask = np.abs(g[0] - g[1]) < np.abs(g[0] - g[2])
-    elif task.kind == "llp":
-        z_counts = tuple(int(c) for c in np.asarray(z).ravel())
-        mask = np.ones(full_shape, dtype=bool)
-        for j, target in enumerate(z_counts):
-            count_j = sum((a == j + 1).astype(np.int16) for a in g)
-            mask &= count_j == target
-        return mask
-    else:
-        raise AssertionError(task.kind)
-    mask = np.broadcast_to(mask, full_shape)
-    return mask if int(z) == 1 else ~mask
+    spec = task.spec
+    return spec.posterior(etas, spec.parse_z(z, *etas.shape))
 
 
 def brute_force_posterior(task: Task, etas, z, max_tuples: int = 10**7) -> GroupPosterior:
@@ -416,22 +348,16 @@ def brute_force_posterior(task: Task, etas, z, max_tuples: int = 10**7) -> Group
     """
     etas = _clamp_probs(etas)
     m, k = etas.shape
-    if task.kind in ("llp", "mil"):
-        if m < 2:
-            raise ValueError(f"task {task.kind!r} requires groups of at least 2 instances")
-    elif m != task.m:
-        raise ValueError(f"got {m} instances for a task with m={task.m}")
-    if k != len(task.label_values):
-        raise ValueError(f"got {k} classes for a task with {len(task.label_values)}")
-    if k**m > max_tuples:
-        raise ValueError(f"enumeration size {k}^{m} exceeds the bound {max_tuples}")
+    if k != task.k:
+        raise ValueError(f"got {k} classes for a task with {task.k}")
+    consistent = task.consistency_mask(z, m, max_tuples)
 
     mass = np.ones((1,) * m)
     for i in range(m):
         shape = [1] * m
         shape[i] = k
         mass = mass * etas[i].reshape(shape)
-    masked = np.where(_consistency_mask(task, z, m), mass, 0.0)
+    masked = np.where(consistent, mass, 0.0)
 
     pz = float(masked.sum())
     joint = np.empty((m, k))

@@ -17,21 +17,123 @@ ordinal_triplet     3     1..k       1 if |y1 - y2| < |y1 - y3| else 0
 The triplet comparison uses the 0/1 disagreement distance between classes;
 the ordinal variant uses |y - y'| on the ordered label set. MIL is binary
 with label 1 the positive class.
+
+``TASKS`` holds one ``TaskSpec`` per kind: everything the rest of the
+package needs to know about a kind lives in that entry.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
-TASK_KINDS = ("pairwise", "triplet", "llp", "mil", "rank", "ordinal_triplet")
+import numpy as np
 
-# Tasks whose group size is fixed by definition.
-FIXED_GROUP_SIZE = {"pairwise": 2, "triplet": 3, "rank": 2, "ordinal_triplet": 3}
+from .posteriors import (
+    GroupPosterior,
+    cumulative_rows,
+    posterior_llp,
+    posterior_mil,
+    posterior_ordinal_triplet,
+    posterior_pairwise,
+    posterior_rank,
+    posterior_triplet,
+)
 
 # Hard cap on the number of count vectors enumerate_z will materialize.
 MAX_COMPOSITIONS = 10**6
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """What differs between supervision kinds.
+
+    ``g`` maps a sequence of m broadcastable label arrays (plain ints work
+    too) and the class count k to the components of z, elementwise: one
+    0/1 component for the indicator tasks, k counts for label proportions.
+    ``posterior`` is the closed form p(z | group), p(z, y_i = j | group)
+    for validated per-class probabilities (m, k) and a validated z.
+    """
+
+    g: Callable
+    posterior: Callable[[np.ndarray, object], GroupPosterior]
+    m: int | None = None  # fixed group size; None allows any m >= 2
+    k: int | None = None  # fixed class count; None allows any k >= min_k
+    min_k: int = 1
+    first_label: int = 1  # labels are first_label .. first_label + k - 1
+    counts: bool = False  # z is a count vector rather than a 0/1 bit
+    head: str = "softmax"
+    arch: str = "mlp-300"
+    warmup: bool = True  # likelihood warm-up by default
+    cache: bool = True  # confidence cache by default
+    identifiable: bool = True  # False: classes are known only up to a permutation
+
+    def parse_z(self, z, m: int, k: int | None = None):
+        """z validated for a group of m: 0 or 1, or a tuple of k nonnegative
+        integer counts summing to m (k defaults to the vector's length)."""
+        if not self.counts:
+            if z in (0, 1):
+                return int(z)
+            raise ValueError(f"aggregate label {z!r} must be 0 or 1")
+        try:
+            counts = tuple(operator.index(c) for c in z)
+        except TypeError:
+            counts = ()
+        if not counts or len(counts) != (k or len(counts)) or min(counts) < 0 or sum(counts) != m:
+            raise ValueError(
+                f"count vector {z!r} is not {k or 'k'} nonnegative integers summing to the group size {m}"
+            )
+        return counts
+
+
+TASKS: dict[str, TaskSpec] = {
+    "pairwise": TaskSpec(
+        g=lambda y, k: [y[0] == y[1]],
+        posterior=lambda etas, z: posterior_pairwise(*etas, z),
+        m=2,
+        min_k=2,
+        identifiable=False,
+    ),
+    "triplet": TaskSpec(
+        # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
+        g=lambda y, k: [(y[0] == y[1]) & (y[0] != y[2])],
+        posterior=lambda etas, z: posterior_triplet(*etas, z),
+        m=3,
+        min_k=2,
+        identifiable=False,
+    ),
+    "llp": TaskSpec(
+        g=lambda y, k: (sum(a == j for a in y) for j in range(1, k + 1)),
+        posterior=posterior_llp,
+        counts=True,
+        warmup=False,
+    ),
+    "mil": TaskSpec(
+        g=lambda y, k: [functools.reduce(np.maximum, y)],
+        posterior=posterior_mil,
+        k=2,
+        first_label=0,
+        head="sigmoid",
+        arch="linear",
+        warmup=False,
+        cache=False,
+    ),
+    "rank": TaskSpec(
+        g=lambda y, k: [y[0] < y[1]],
+        posterior=lambda etas, z: posterior_rank(*cumulative_rows(etas), z),
+        m=2,
+        head="cumulative",
+    ),
+    "ordinal_triplet": TaskSpec(
+        g=lambda y, k: [abs(y[0] - y[1]) < abs(y[0] - y[2])],
+        posterior=lambda etas, z: posterior_ordinal_triplet(*cumulative_rows(etas), z),
+        m=3,
+        head="cumulative",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -43,41 +145,51 @@ class Task:
     k: int
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}; expected one of {TASK_KINDS}")
-        fixed = FIXED_GROUP_SIZE.get(self.kind)
-        if fixed is not None and self.m != fixed:
-            raise ValueError(f"task {self.kind!r} requires m={fixed}, got m={self.m}")
-        if self.kind in ("llp", "mil") and self.m < 2:
-            raise ValueError(f"task {self.kind!r} requires m >= 2, got m={self.m}")
-        if self.kind == "mil" and self.k != 2:
-            raise ValueError(f"task 'mil' is binary (k=2), got k={self.k}")
-        if self.kind in ("pairwise", "triplet") and self.k < 2:
-            raise ValueError(f"task {self.kind!r} requires k >= 2, got k={self.k}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if self.kind not in TASKS:
+            raise ValueError(f"unknown task kind {self.kind!r}; expected one of {list(TASKS)}")
+        self.check_group_size(self.m)
+        spec = self.spec
+        if spec.k is not None and self.k != spec.k:
+            raise ValueError(f"task {self.kind!r} requires k={spec.k}, got k={self.k}")
+        if self.k < spec.min_k:
+            raise ValueError(f"task {self.kind!r} requires k >= {spec.min_k}, got k={self.k}")
+
+    @property
+    def spec(self) -> TaskSpec:
+        return TASKS[self.kind]
 
     @property
     def label_values(self) -> tuple[int, ...]:
         """Per-instance label alphabet: {0,1} for MIL, 1..k otherwise."""
-        if self.kind == "mil":
-            return (0, 1)
-        return tuple(range(1, self.k + 1))
+        first = self.spec.first_label
+        return tuple(range(first, first + self.k))
 
-    def is_binary_z(self) -> bool:
-        """True when the aggregate label is a 0/1 indicator (all tasks but llp)."""
-        return self.kind != "llp"
+    def check_group_size(self, m: int) -> None:
+        """Raise unless a group of m instances fits the task (llp/mil groups
+        may deviate from the task's own m)."""
+        fixed = self.spec.m
+        if fixed is not None and m != fixed:
+            raise ValueError(f"task {self.kind!r} requires m={fixed}, got m={m}")
+        if fixed is None and m < 2:
+            raise ValueError(f"task {self.kind!r} requires m >= 2, got m={m}")
 
+    def consistency_mask(self, z, m: int | None = None, max_tuples: int = 10**7) -> np.ndarray:
+        """Boolean tensor over the full label space of a group of m marking g(y_1..m) = z.
 
-def _check_labels(task: Task, labels) -> tuple[int, ...]:
-    labels = tuple(int(y) for y in labels)
-    if len(labels) != task.m:
-        raise ValueError(f"expected {task.m} labels for task {task.kind!r}, got {len(labels)}")
-    valid = set(task.label_values)
-    for y in labels:
-        if y not in valid:
-            raise ValueError(f"label {y} outside the task's label set {sorted(valid)}")
-    return labels
+        Axis i indexes y_i by position in ``label_values``. Raises when the
+        |labels|^m entries exceed max_tuples.
+        """
+        m = self.m if m is None else int(m)
+        self.check_group_size(m)
+        n = self.k
+        if n**m > max_tuples:
+            raise ValueError(f"label space {n}^{m} exceeds the enumeration bound {max_tuples}")
+        values = np.array(self.label_values)
+        grids = [values.reshape([n if axis == i else 1 for axis in range(m)]) for i in range(m)]
+        mask = np.ones((n,) * m, dtype=bool)
+        for part, target in zip(self.spec.g(grids, self.k), np.atleast_1d(self.spec.parse_z(z, m, n))):
+            mask &= part == target
+        return mask
 
 
 def aggregate_label(task: Task, labels):
@@ -85,24 +197,15 @@ def aggregate_label(task: Task, labels):
 
     Returns 0/1 for the indicator tasks and a tuple of k counts for llp.
     """
-    labels = _check_labels(task, labels)
-    if task.kind == "pairwise":
-        return int(labels[0] == labels[1])
-    if task.kind == "triplet":
-        # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
-        return int(labels[0] == labels[1] and labels[0] != labels[2])
-    if task.kind == "llp":
-        counts = [0] * task.k
-        for y in labels:
-            counts[y - 1] += 1
-        return tuple(counts)
-    if task.kind == "mil":
-        return int(max(labels))
-    if task.kind == "rank":
-        return int(labels[0] < labels[1])
-    if task.kind == "ordinal_triplet":
-        return int(abs(labels[0] - labels[1]) < abs(labels[0] - labels[2]))
-    raise AssertionError(task.kind)
+    labels = tuple(int(y) for y in labels)
+    if len(labels) != task.m:
+        raise ValueError(f"expected {task.m} labels for task {task.kind!r}, got {len(labels)}")
+    valid = set(task.label_values)
+    for y in labels:
+        if y not in valid:
+            raise ValueError(f"label {y} outside the task's label set {sorted(valid)}")
+    parts = tuple(int(p) for p in task.spec.g(labels, task.k))
+    return parts if task.spec.counts else parts[0]
 
 
 def count_compositions(m: int, k: int) -> int:
@@ -126,7 +229,7 @@ def enumerate_z(task: Task) -> list:
     Binary tasks return [0, 1]. For llp this is every count vector of the
     group size over k classes; raises if that set exceeds MAX_COMPOSITIONS.
     """
-    if task.is_binary_z():
+    if not task.spec.counts:
         return [0, 1]
     n_comp = count_compositions(task.m, task.k)
     if n_comp > MAX_COMPOSITIONS:
@@ -144,19 +247,6 @@ def consistent_tuples(task: Task, z, max_tuples: int = 10**7, m: int | None = No
     max_tuples. ``m`` defaults to the task's group size (llp/mil groups may
     deviate from it).
     """
-    m = task.m if m is None else int(m)
-    sized = task if m == task.m else Task(task.kind, m, task.k)
-    n_values = len(task.label_values)
-    if n_values**m > max_tuples:
-        raise ValueError(
-            f"label space {n_values}^{m} exceeds the enumeration bound {max_tuples}"
-        )
-    if task.kind == "llp":
-        z = tuple(int(c) for c in z)
-    else:
-        z = int(z)
-    return [
-        tup
-        for tup in itertools.product(task.label_values, repeat=m)
-        if aggregate_label(sized, tup) == z
-    ]
+    mask = task.consistency_mask(z, m, max_tuples)
+    values = np.array(task.label_values)
+    return [tuple(row) for row in values[np.argwhere(mask)].tolist()]

@@ -97,14 +97,9 @@ def default_flags(task: Task, profile: str = "small") -> tuple[bool, int, bool]:
     """
     if profile not in ("small", "large"):
         raise ValueError("profile must be 'small' or 'large'")
-    warmup_epochs = 20 if profile == "large" else 100
-    if task.kind in ("pairwise", "triplet", "rank", "ordinal_triplet"):
-        return True, warmup_epochs, True
-    if task.kind == "llp":
-        return False, 0, True
-    if task.kind == "mil":
-        return False, 0, False
-    raise AssertionError(task.kind)
+    spec = task.spec
+    warmup_epochs = (20 if profile == "large" else 100) if spec.warmup else 0
+    return spec.warmup, warmup_epochs, spec.cache
 
 
 @dataclass
@@ -156,14 +151,8 @@ def _check_observations(task: Task, observations: list[GroupObservation]) -> Non
     for obs in observations:
         if obs.task_kind != task.kind:
             raise ValueError(f"observation for task {obs.task_kind!r} under task {task.kind!r}")
-        if task.kind not in ("llp", "mil") and obs.m != task.m:
-            raise ValueError(f"group size {obs.m} does not match task m={task.m}")
-        if task.kind == "llp":
-            counts = np.asarray(obs.z).ravel()
-            if counts.shape[0] != task.k or counts.sum() != obs.m:
-                raise ValueError(
-                    f"count vector {obs.z} inconsistent with k={task.k}, group size {obs.m}"
-                )
+        task.check_group_size(obs.m)
+        task.spec.parse_z(obs.z, obs.m, task.k)
 
 
 def train(
@@ -182,7 +171,6 @@ def train(
     each confidence-cache refresh.
     """
     _check_observations(task, observations)
-    n_classes = 2 if task.kind == "mil" else task.k
 
     seed_split, seed_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng_split = np.random.Generator(np.random.Philox(seed_split))
@@ -201,7 +189,7 @@ def train(
         sizes = {obs.m for obs in train_obs}
         if len(sizes) > 1:
             raise ValueError("the confidence cache requires a uniform group size")
-        confidence = np.full((n_train, sizes.pop(), n_classes), 1.0 / n_classes)
+        confidence = np.full((n_train, sizes.pop(), task.k), 1.0 / task.k)
 
     opt = AdamState.for_model(model, config.learning_rate)
     metrics: list[EpochRecord] = []

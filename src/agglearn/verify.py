@@ -26,7 +26,7 @@ import numpy as np
 from .losses import DegenerateGroupError, aggregate_loss, compute_weights, em_lower_bound, estep_omega, loglik_loss
 from .models import Classifier
 from .posteriors import PZ_FLOOR, brute_force_posterior, group_posterior
-from .tasks import Task, enumerate_z
+from .tasks import TASKS, Task, aggregate_label, enumerate_z
 
 ORACLE_TOL = 1e-9
 MARGINAL_TOL = 1e-9
@@ -54,39 +54,35 @@ def _summarize(suite: str, checks: list[dict]) -> dict:
 
 
 def _random_task(kind: str, rng: np.random.Generator) -> Task:
+    spec = TASKS[kind]
     k = int(rng.integers(2, 6))
-    if kind == "mil":
-        return Task("mil", m=int(rng.integers(2, 7)), k=2)
-    if kind == "llp":
-        return Task("llp", m=int(rng.integers(2, 7)), k=k)
-    return Task(kind, m={"pairwise": 2, "triplet": 3, "rank": 2, "ordinal_triplet": 3}[kind], k=k)
+    m = spec.m or int(rng.integers(2, 7))
+    return Task(kind, m=m, k=spec.k or k)
 
 
-def _random_etas(task: Task, rng: np.random.Generator) -> np.ndarray:
-    n_classes = 2 if task.kind == "mil" else task.k
-    return rng.dirichlet(np.ones(n_classes), size=task.m)
+def random_etas(task: Task, rng: np.random.Generator) -> np.ndarray:
+    return rng.dirichlet(np.ones(task.k), size=task.m)
 
 
-def _random_z(task: Task, rng: np.random.Generator):
-    if task.kind != "llp":
+def random_z(task: Task, rng: np.random.Generator):
+    """A uniform 0/1 bit, or the counts of uniformly drawn labels."""
+    if not task.spec.counts:
         return int(rng.integers(0, 2))
-    labels = rng.integers(1, task.k + 1, size=task.m)
-    counts = np.bincount(labels, minlength=task.k + 1)[1:]
-    return tuple(int(c) for c in counts)
+    return aggregate_label(task, rng.integers(1, task.k + 1, size=task.m))
 
 
 def oracle_suite(trials: int = 200, seed: int = 0) -> dict:
     """Closed forms vs enumeration, marginalization, and Z-normalization."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     checks = []
-    for kind in ("pairwise", "triplet", "llp", "mil", "rank", "ordinal_triplet"):
+    for kind in TASKS:
         dev_oracle = 0.0
         dev_marginal = 0.0
         dev_normal = 0.0
         for _ in range(trials):
             task = _random_task(kind, rng)
-            etas = _random_etas(task, rng)
-            z = _random_z(task, rng)
+            etas = random_etas(task, rng)
+            z = random_z(task, rng)
             closed = group_posterior(task, etas, z)
             brute = brute_force_posterior(task, etas, z)
             dev_oracle = max(
@@ -144,27 +140,25 @@ def unbiased_suite(classifiers: int = 20, seed: int = 0) -> dict:
     """Exact E[L_agg] equals the supervised risk on finite domains."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     specs = [
-        ("pairwise", Task("pairwise", 2, 3)),
-        ("triplet", Task("triplet", 3, 3)),
-        ("mil", Task("mil", 3, 2)),
-        ("llp", Task("llp", 3, 3)),
-        ("rank", Task("rank", 2, 3)),
+        Task("pairwise", 2, 3),
+        Task("triplet", 3, 3),
+        Task("mil", 3, 2),
+        Task("llp", 3, 3),
+        Task("rank", 2, 3),
     ]
     checks = []
-    for name, task in specs:
-        n_classes = 2 if task.kind == "mil" else task.k
+    for task in specs:
         deviation = 0.0
         for trial in range(classifiers):
-            points, px, cond = _finite_domain(rng, n_classes)
-            head = "sigmoid" if task.kind == "mil" else ("cumulative" if task.kind == "rank" else "softmax")
+            points, px, cond = _finite_domain(rng, task.k)
             model = Classifier.create(
-                "linear", head, d=2, k=n_classes, seed=int(rng.integers(0, 2**31))
+                "linear", task.spec.head, d=2, k=task.k, seed=int(rng.integers(0, 2**31))
             )
             losses = -np.log(np.atleast_2d(model.predict_proba(points)))
             risk = float((px[:, None] * cond * losses).sum())
             estimate = _exact_estimator_expectation(task, points, px, cond, losses)
             deviation = max(deviation, abs(estimate - risk))
-        checks.append(_check(f"unbiased/{name}", deviation, UNBIASED_TOL))
+        checks.append(_check(f"unbiased/{task.kind}", deviation, UNBIASED_TOL))
     return _summarize("unbiased", checks)
 
 
@@ -181,14 +175,12 @@ def em_suite(cases: int = 10, perturbations: int = 100, seed: int = 0) -> dict:
     ]
     checks = []
     for task in specs:
-        n_classes = 2 if task.kind == "mil" else task.k
-        head = "sigmoid" if task.kind == "mil" else "softmax"
         dev_equal = 0.0
         dev_jensen = 0.0
         for _ in range(cases):
-            model = Classifier.create("linear", head, d=3, k=n_classes, seed=int(rng.integers(0, 2**31)))
+            model = Classifier.create("linear", task.spec.head, d=3, k=task.k, seed=int(rng.integers(0, 2**31)))
             xs = rng.normal(size=(task.m, 3))
-            z = _random_z(task, rng)
+            z = random_z(task, rng)
             etas = np.atleast_2d(model.predict_proba(xs))
             post = group_posterior(task, etas, z)
             if post.pz <= PZ_FLOOR:
@@ -249,19 +241,12 @@ def grad_suite(seed: int = 0) -> dict:
     ]
     checks = []
     for task in specs:
-        n_classes = 2 if task.kind == "mil" else task.k
-        if task.kind == "mil":
-            head = "sigmoid"
-        elif task.kind in ("rank", "ordinal_triplet"):
-            head = "cumulative"
-        else:
-            head = "softmax"
         worst = {"aggregate": 0.0, "loglik": 0.0}
         for arch in ("linear", "mlp-300"):
-            model = Classifier.create(arch, head, d=3, k=n_classes, seed=int(rng.integers(0, 2**31)))
+            model = Classifier.create(arch, task.spec.head, d=3, k=task.k, seed=int(rng.integers(0, 2**31)))
             xs = rng.normal(size=(task.m, 3))
-            z = _random_z(task, rng)
-            weights = compute_weights(group_posterior(task, rng.dirichlet(np.ones(n_classes), size=task.m), z))
+            z = random_z(task, rng)
+            weights = compute_weights(group_posterior(task, random_etas(task, rng), z))
 
             _, grads = aggregate_loss(xs, weights, model)
             err = _fd_gradient_error(lambda: aggregate_loss(xs, weights, model)[0], model, grads, rng)
