@@ -185,6 +185,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(
             f"observations are for task {observations[0].task_kind!r}, not {task.kind!r}"
         )
+    if task.spec.counts and len(observations[0].z) != task.k:
+        raise UsageError(
+            f"{resolved['obs']}: count vectors have {len(observations[0].z)} entries, not k={task.k}"
+        )
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
@@ -291,8 +295,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
     shift = 1 - task.label_values[0]
-    perm = None  # fit the matching on the test split itself
+    perm = np.arange(task.k)  # identifiable classes keep the identity matching
     if not task.spec.identifiable:
+        perm = None  # fit on the test split itself unless --fit-data is given
         if fit is not None:
             fit_labels = fit.task_labels(task, positive) + shift
             _, perm = matched_accuracy(model.predict(fit.features) + shift, fit_labels, task.k)

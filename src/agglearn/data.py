@@ -283,8 +283,9 @@ def _parse_observation(line: str) -> GroupObservation:
 
 
 def load_observations(path) -> list[GroupObservation]:
-    """Read a JSON-lines observation file; all lines must share one task kind
-    and one feature width. A bad line raises ValueError naming ``path:line``."""
+    """Read a JSON-lines observation file; all lines must share one task kind,
+    one feature width and, for count labels, one count-vector length. A bad
+    line raises ValueError naming ``path:line``."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"observation file not found: {path}")
     observations = []
@@ -296,12 +297,15 @@ def load_observations(path) -> list[GroupObservation]:
                 continue
             try:
                 obs = _parse_observation(line)
+                z_len = len(obs.z) if isinstance(obs.z, tuple) else 0
                 if not observations:
-                    kind, width = obs.task_kind, obs.xs.shape[1]
+                    kind, width, counts = obs.task_kind, obs.xs.shape[1], z_len
                 if obs.task_kind != kind:
                     raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
                 if obs.xs.shape[1] != width:
                     raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
+                if z_len != counts:
+                    raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             observations.append(obs)

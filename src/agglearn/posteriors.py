@@ -16,7 +16,13 @@ sums over every label tuple consistent with z and acts as the reference
 implementation for all of them. The label-proportion form is a dynamic
 program over running count vectors (forward pass for pz, forward-backward
 combination for the joints), polynomial in m and the count-box volume
-instead of exponential in m.
+instead of exponential in m; ``MAX_LLP_BOX`` bounds that volume.
+
+Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
+the label tuples between them, so each of those kernels computes one event
+only and ``_indicator`` derives the other: p(z') = 1 - pz and
+joint' = eta - joint. The comparison and order kernels compute z = 1; the
+bag kernel computes z = 0, the all-negative product.
 
 Ordinal tasks (rank, ordinal_triplet) are parameterized by cumulative
 probabilities cum[j] = p(y <= j) with the sentinels cum[0] = 0 and
@@ -27,6 +33,7 @@ definition of the consistent set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,9 +47,9 @@ if TYPE_CHECKING:
 PROB_EPS = 1e-12
 PZ_FLOOR = PROB_EPS
 
-# Above this group size, products over instances run in log space to dodge
-# underflow; below it, direct prefix/suffix products are cheaper.
-LOG_SPACE_MIN_M = 9
+# Bound on the llp count box prod_j (z_j + 1), the number of partial count
+# vectors the dynamic program may visit per instance.
+MAX_LLP_BOX = 10**7
 
 
 @dataclass
@@ -73,8 +80,14 @@ def to_cumulative(probs) -> np.ndarray:
 
 
 def cumulative_rows(etas) -> list[np.ndarray]:
-    """Clamped per-class rows (m, k) -> one cumulative vector (k+1,) per instance."""
-    return [to_cumulative(row) for row in _clamp_probs(etas)]
+    """Clamped per-class rows (m, k) -> one cumulative vector (k+1,) per instance.
+
+    Clamping lifts near-zero entries, so a row can sum to 1 + (k-1) PROB_EPS;
+    each row is rescaled to sum 1 first, or pinning cum[k] = 1 would leave
+    p(y = k) negative.
+    """
+    rows = _clamp_probs(etas)
+    return [to_cumulative(row) for row in rows / rows.sum(axis=1, keepdims=True)]
 
 
 def _check_cumulative(cum) -> np.ndarray:
@@ -88,88 +101,53 @@ def _check_cumulative(cum) -> np.ndarray:
     return cum
 
 
+def _indicator(etas: np.ndarray, z: int, side: int, pz: float, joint: np.ndarray) -> GroupPosterior:
+    """Posterior of a 0/1 label from a kernel's own event z = ``side``.
+
+    z = 0 and z = 1 split the label tuples between them, so the other
+    event has p = 1 - pz and joint = etas - joint, where ``etas`` is the
+    (m, k) per-class marginal the kernel computed its event from.
+    """
+    if z == side:
+        return _finish(pz, joint)
+    return _finish(1.0 - pz, etas - joint)
+
+
 def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     """Similarity indicator, m=2: z = 1 iff the two hidden labels agree.
 
-    p(z=1) = sum_j eta1[j] eta2[j]; the z=1 joints both equal the
-    per-class agreement products, and the z=0 joints pair each class with
-    the other instance's disagreement mass.
+    p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
+    per-class agreement products.
     """
-    eta1 = _clamp_probs(eta1)
-    eta2 = _clamp_probs(eta2)
-    agree = eta1 * eta2
-    p_same = float(agree.sum())
-    if z == 1:
-        pz = p_same
-        joint = np.stack([agree, agree])
-    else:
-        pz = 1.0 - p_same
-        joint = np.stack([(1.0 - eta2) * eta1, (1.0 - eta1) * eta2])
-    return _finish(pz, joint)
+    etas = _clamp_probs([eta1, eta2])
+    agree = etas[0] * etas[1]
+    return _indicator(etas, z, 1, float(agree.sum()), np.stack([agree, agree]))
 
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    eta1 = _clamp_probs(eta1)
-    eta2 = _clamp_probs(eta2)
-    eta3 = _clamp_probs(eta3)
-    pair12 = eta1 * eta2
-    hit = pair12 * (1.0 - eta3)  # class-j mass of {y1 = y2 = j, y3 != j}
-    p_hit = float(hit.sum())
+    etas = _clamp_probs([eta1, eta2, eta3])
+    pair12 = etas[0] * etas[1]
+    hit = pair12 * (1.0 - etas[2])  # class-j mass of {y1 = y2 = j, y3 != j}
     # For y3 = j the first two must agree on some class other than j.
-    other12 = (pair12.sum() - pair12) * eta3
-    if z == 1:
-        pz = p_hit
-        joint = np.stack([hit, hit, other12])
-    else:
-        pz = 1.0 - p_hit
-        joint = np.stack(
-            [
-                (1.0 - eta2 * (1.0 - eta3)) * eta1,
-                (1.0 - eta1 * (1.0 - eta3)) * eta2,
-                eta3 - other12,
-            ]
-        )
-    return _finish(pz, joint)
+    other12 = (pair12.sum() - pair12) * etas[2]
+    return _indicator(etas, z, 1, float(hit.sum()), np.stack([hit, hit, other12]))
 
 
 def posterior_mil(etas, z: int) -> GroupPosterior:
     """Bag indicator, k=2: z = max of the binary labels.
 
     ``etas`` is (m, 2) with columns (negative, positive). A negative bag
-    forces every instance negative, so p(z=0, y_i=1) = 0 and the z=0
-    joints are all the full product of negative probabilities; in a
-    positive bag p(z=1, y_i=1) = eta1[i] while the negative joint removes
-    the all-negative event among the other members.
+    forces every instance negative, so p(z=0) is the product of the
+    negative probabilities and every z=0 joint row is (p(z=0), 0).
     """
     etas = _clamp_probs(etas)
     if etas.ndim != 2 or etas.shape[1] != 2:
         raise ValueError("MIL expects (m, 2) probabilities over classes {0, 1}")
-    eta0 = etas[:, 0]
-    prod_all, prod_except = _product_and_leave_one_out(eta0)
-    if z == 0:
-        pz = prod_all
-        joint = np.stack([np.full_like(eta0, prod_all), np.zeros_like(eta0)], axis=1)
-    else:
-        pz = 1.0 - prod_all
-        joint = np.stack([(1.0 - prod_except) * eta0, etas[:, 1]], axis=1)
-    return _finish(pz, joint)
-
-
-def _product_and_leave_one_out(values: np.ndarray) -> tuple[float, np.ndarray]:
-    """(prod of all entries, vector of products excluding each entry).
-
-    Direct prefix/suffix products for small m; log-space for m >= LOG_SPACE_MIN_M
-    where long products of probabilities underflow.
-    """
-    m = values.shape[0]
-    if m < LOG_SPACE_MIN_M:
-        prefix = np.concatenate(([1.0], np.cumprod(values)[:-1]))
-        suffix = np.concatenate((np.cumprod(values[::-1])[:-1][::-1], [1.0]))
-        return float(prefix[-1] * values[-1]), prefix * suffix
-    logs = np.log(values)
-    total = logs.sum()
-    return float(np.exp(total)), np.exp(total - logs)
+    pz = float(np.prod(etas[:, 0]))
+    joint = np.zeros_like(etas)
+    joint[:, 0] = pz
+    return _indicator(etas, z, 0, pz, joint)
 
 
 def posterior_llp(etas, z) -> GroupPosterior:
@@ -190,6 +168,9 @@ def posterior_llp(etas, z) -> GroupPosterior:
         raise ValueError("counts must be nonnegative")
     if sum(z) != m:
         raise ValueError(f"counts sum to {sum(z)}, expected group size m={m}")
+    volume = math.prod(c + 1 for c in z)
+    if volume > MAX_LLP_BOX:
+        raise ValueError(f"llp count box has volume {volume}, above the {MAX_LLP_BOX} bound")
 
     zero = (0,) * k
     # forward[i]: mass of each count vector over instances [0, i)
@@ -239,38 +220,20 @@ def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
     """
     cum1 = _check_cumulative(cum1)
     cum2 = _check_cumulative(cum2)
-    probs1 = np.diff(cum1)
-    probs2 = np.diff(cum2)
-    below1 = cum1[:-1]  # p(y1 <= j-1) for j = 1..k
-    p_less = float((below1 * probs2).sum())
-    if z == 1:
-        pz = p_less
-        joint = np.stack([(1.0 - cum2[1:]) * probs1, below1 * probs2])
-    else:
-        pz = 1.0 - p_less
-        joint = np.stack([cum2[1:] * probs1, (1.0 - cum1[:-1]) * probs2])
-    return _finish(pz, joint)
+    probs = np.stack([np.diff(cum1), np.diff(cum2)])
+    below1 = cum1[:-1] * probs[1]  # p(y1 <= j-1, y2 = j) for j = 1..k
+    joint = np.stack([(1.0 - cum2[1:]) * probs[0], below1])
+    return _indicator(probs, z, 1, float(below1.sum()), joint)
 
 
-def _interval_strict(cum: np.ndarray, center: int, radius: int) -> float:
-    """p(|y - center| < radius) for ordinal y with cumulative vector cum.
+def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
+    """p(lo < y <= hi) elementwise for ordinal y with cumulative vector cum.
 
-    The event is the open band (center-radius, center+radius); indices are
-    clamped into [0, k] so out-of-range ends resolve through the 0/1
-    sentinels, and the max guard zeroes the empty radius-0 band.
+    Indices are clamped into [0, k] so out-of-range ends resolve through
+    the 0/1 sentinels, and the max zeroes empty bands (hi < lo).
     """
     k = cum.shape[0] - 1
-    hi = min(max(center + radius - 1, 0), k)
-    lo = min(max(center - radius, 0), k)
-    return max(float(cum[hi] - cum[lo]), 0.0)
-
-
-def _interval_within(cum: np.ndarray, center: int, radius: int) -> float:
-    """p(|y - center| <= radius) with the same clamping conventions."""
-    k = cum.shape[0] - 1
-    hi = min(max(center + radius, 0), k)
-    lo = min(max(center - radius - 1, 0), k)
-    return max(float(cum[hi] - cum[lo]), 0.0)
+    return np.maximum(cum[np.clip(hi, 0, k)] - cum[np.clip(lo, 0, k)], 0.0)
 
 
 def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
@@ -278,48 +241,18 @@ def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
     cum1 = _check_cumulative(cum1)
     cum2 = _check_cumulative(cum2)
     cum3 = _check_cumulative(cum3)
-    k = cum1.shape[0] - 1
-    probs1 = np.diff(cum1)
-    probs2 = np.diff(cum2)
-    probs3 = np.diff(cum3)
-
-    # closer2[a][b] = p(|y2 - a| < |b - a|): y2 strictly inside the band
+    probs = np.stack([np.diff(cum1), np.diff(cum2), np.diff(cum3)])
+    labels = np.arange(1, cum1.shape[0])
+    a, b = labels[:, None], labels[None, :]
+    radius = np.abs(b - a)
+    # closer2[a, b] = p(|y2 - a| < |b - a|): y2 strictly inside the band
     # around y1 = a whose radius is set by y3 = b.
-    closer2 = np.empty((k + 1, k + 1))
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            closer2[a, b] = _interval_strict(cum2, a, abs(b - a))
-
-    joint = np.zeros((3, k))
-    for j in range(1, k + 1):
-        acc1 = 0.0
-        acc2 = 0.0
-        acc3 = 0.0
-        for v in range(1, k + 1):
-            acc1 += probs3[v - 1] * closer2[j, v]
-            acc2 += probs1[v - 1] * (1.0 - _interval_within(cum3, v, abs(j - v)))
-            acc3 += probs1[v - 1] * closer2[v, j]
-        joint[0, j - 1] = acc1 * probs1[j - 1]
-        joint[1, j - 1] = acc2 * probs2[j - 1]
-        joint[2, j - 1] = acc3 * probs3[j - 1]
-    p_closer = float(joint[0].sum())
-
-    if z == 1:
-        pz = p_closer
-    else:
-        pz = 1.0 - p_closer
-        for j in range(1, k + 1):
-            acc1 = 0.0
-            acc2 = 0.0
-            acc3 = 0.0
-            for v in range(1, k + 1):
-                acc1 += probs3[v - 1] * (1.0 - closer2[j, v])
-                acc2 += probs1[v - 1] * _interval_within(cum3, v, abs(j - v))
-                acc3 += probs1[v - 1] * (1.0 - closer2[v, j])
-            joint[0, j - 1] = acc1 * probs1[j - 1]
-            joint[1, j - 1] = acc2 * probs2[j - 1]
-            joint[2, j - 1] = acc3 * probs3[j - 1]
-    return _finish(pz, joint)
+    closer2 = _band(cum2, a - radius, a + radius - 1)
+    # beyond3[a, c] = p(|y3 - a| > |c - a|): y3 outside the closed band
+    # around y1 = a whose radius is set by y2 = c.
+    beyond3 = 1.0 - _band(cum3, a - radius - 1, a + radius)
+    joint = probs * np.stack([closer2 @ probs[2], probs[0] @ beyond3, probs[0] @ closer2])
+    return _indicator(probs, z, 1, float(joint[0].sum()), joint)
 
 
 def group_posterior(task: Task, etas, z) -> GroupPosterior:
