@@ -13,10 +13,9 @@ same quantities drive the group log-likelihood.
 
 There is one closed form per task plus ``brute_force_posterior``, which
 sums over every label tuple consistent with z and acts as the reference
-implementation for all of them. The label-proportion form is a dynamic
-program over running count vectors (forward pass for pz, forward-backward
-combination for the joints), polynomial in m and the count-box volume
-instead of exponential in m; ``MAX_LLP_BOX`` bounds that volume.
+implementation for all of them. The label-proportion form is a dense
+dynamic program over the count box: one array holds a whole sweep, the
+suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells.
 
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
@@ -33,6 +32,7 @@ definition of the consistent set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -47,9 +47,10 @@ if TYPE_CHECKING:
 PROB_EPS = 1e-12
 PZ_FLOOR = PROB_EPS
 
-# Bound on the llp count box prod_j (z_j + 1), the number of partial count
-# vectors the dynamic program may visit per instance.
-MAX_LLP_BOX = 10**7
+# Bound on the cells the llp kernel holds, (k + 2) prod_j (z_j + 1): a k-row
+# int32 neighbour table and two float64 mass arrays over the count box. One
+# call at the bound peaks at 375 MB in tracemalloc (7.5 bytes per cell, k = 2).
+MAX_LLP_BOX = 5 * 10**7
 
 
 @dataclass
@@ -108,6 +109,8 @@ def _indicator(etas: np.ndarray, z: int, side: int, pz: float, joint: np.ndarray
     event has p = 1 - pz and joint = etas - joint, where ``etas`` is the
     (m, k) per-class marginal the kernel computed its event from.
     """
+    if z not in (0, 1):
+        raise ValueError(f"a 0/1 aggregate label must be 0 or 1, got {z!r}")
     if z == side:
         return _finish(pz, joint)
     return _finish(1.0 - pz, etas - joint)
@@ -150,14 +153,37 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     return _indicator(etas, z, 0, pz, joint)
 
 
+def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+    """Number the count box prod_j [0, z_j] by level |c| = sum_j c_j, then C order.
+
+    Level L is cells starts[L]:starts[L + 1]. The int32 table down[j, p] numbers
+    cell c - e_j of cell p = c, or is the zero sentinel ``volume`` when c_j = 0.
+    """
+    shape = tuple(c + 1 for c in z)
+    volume = math.prod(shape)
+    level = functools.reduce(np.add.outer, [np.arange(n, dtype=np.min_scalar_type(sum(z))) for n in shape])
+    order = np.argsort(level, axis=None, kind="stable")  # C-order index of each numbered cell
+    starts = [0, *np.cumsum(np.bincount(level.ravel())).tolist()]
+    numbers = np.empty(shape, dtype=np.int32)
+    np.put(numbers, order, np.arange(volume, dtype=np.int32))
+    down = np.empty((len(z), volume), dtype=np.int32)
+    lower = np.empty(shape, dtype=np.int32)
+    for axis in range(len(z)):
+        lower.fill(volume)
+        lower[(slice(None),) * axis + (slice(1, None),)] = numbers[(slice(None),) * axis + (slice(-1),)]
+        down[axis] = lower.ravel()[order]
+    return starts, down
+
+
 def posterior_llp(etas, z) -> GroupPosterior:
     """Label-proportion counts, m>=2: z[j] = number of instances of class j.
 
-    pz sums the tuple products over every labeling with the observed
-    counts. Both passes of the dynamic program run over partial count
-    vectors confined to the box prod_j [0, z_j]; joint[i][j] convolves the
-    prefix distribution before instance i with the suffix distribution
-    after it, leaving one count of class j for instance i itself.
+    A dense dynamic program over the count box prod_j [0, z_j]. Count vector
+    c is reached after exactly |c| instances, so one box-sized array holds a
+    sweep: the mass of instances [0, |c|) having counts c, then, overwritten
+    level by level, that of instances [m - |c|, m). Each step is one gather
+    and one matrix-vector product, and the suffix sweep contracts as it goes:
+    joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
     """
     etas = _clamp_probs(etas)
     m, k = etas.shape
@@ -169,47 +195,21 @@ def posterior_llp(etas, z) -> GroupPosterior:
     if sum(z) != m:
         raise ValueError(f"counts sum to {sum(z)}, expected group size m={m}")
     volume = math.prod(c + 1 for c in z)
-    if volume > MAX_LLP_BOX:
-        raise ValueError(f"llp count box has volume {volume}, above the {MAX_LLP_BOX} bound")
+    if (k + 2) * volume > MAX_LLP_BOX:
+        raise ValueError(f"llp count box of volume {volume} needs {(k + 2) * volume} cells, over {MAX_LLP_BOX}")
 
-    zero = (0,) * k
-    # forward[i]: mass of each count vector over instances [0, i)
-    forward: list[dict[tuple[int, ...], float]] = [{} for _ in range(m + 1)]
-    forward[0][zero] = 1.0
-    for i in range(m):
-        nxt = forward[i + 1]
-        for counts, mass in forward[i].items():
-            for j in range(k):
-                if counts[j] < z[j]:
-                    bumped = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                    nxt[bumped] = nxt.get(bumped, 0.0) + mass * etas[i, j]
-    pz = forward[m].get(z, 0.0)
-
-    # backward[i]: mass of each count vector over instances [i, m)
-    backward: list[dict[tuple[int, ...], float]] = [{} for _ in range(m + 1)]
-    backward[m][zero] = 1.0
-    for i in range(m - 1, -1, -1):
-        nxt = backward[i]
-        for counts, mass in backward[i + 1].items():
-            for j in range(k):
-                if counts[j] < z[j]:
-                    bumped = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                    nxt[bumped] = nxt.get(bumped, 0.0) + mass * etas[i, j]
-
-    joint = np.zeros((m, k))
-    for i in range(m):
-        suffix = backward[i + 1]
-        for prefix_counts, prefix_mass in forward[i].items():
-            for j in range(k):
-                if prefix_counts[j] >= z[j]:
-                    continue
-                remainder = tuple(
-                    z[v] - prefix_counts[v] - (1 if v == j else 0) for v in range(k)
-                )
-                suffix_mass = suffix.get(remainder)
-                if suffix_mass is not None:
-                    joint[i, j] += prefix_mass * etas[i, j] * suffix_mass
-    return _finish(pz, joint)
+    starts, down = _level_order(z)
+    mass = np.r_[1.0, np.zeros(volume)]  # 1 at the empty count vector; index ``volume`` is the zero sentinel
+    for eta, lo, hi in zip(etas, starts[1:-1], starts[2:]):
+        mass[lo:hi] = eta @ mass[down[:, lo:hi]]
+    # prefix[p] = prefix mass of z - c for cell p = c: the flip c -> z - c maps p to volume - 1 - p
+    prefix = mass[volume - 1 :: -1].copy()
+    joint = np.empty((m, k))
+    for i, lo, hi in zip(range(m - 1, -1, -1), starts[1:-1], starts[2:]):
+        rest = mass[down[:, lo:hi]]  # rest[j, q] = suffix[q - e_j]
+        mass[lo:hi] = etas[i] @ rest
+        joint[i] = rest @ prefix[lo:hi]
+    return _finish(prefix[0], etas * joint)
 
 
 def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
