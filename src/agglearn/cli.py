@@ -29,7 +29,7 @@ from .models import Classifier
 from .posteriors import brute_force_posterior, group_posterior
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
-from .verify import SUITES, random_etas, random_z, run_suite
+from .verify import SUITES, random_etas, random_z, registered_tasks, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,12 +144,15 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, config, fields)
     _require(resolved, "data", "n_groups")
     task = _build_task(resolved)
+    n_groups = int(resolved["n_groups"])
+    if n_groups < 1:
+        raise UsageError("--n-groups must be >= 1")
     dataset = data_mod.load_csv(resolved["data"], label_column=resolved["label_column"] or "label")
     observations = data_mod.sample_groups(
         dataset,
         task,
         m=task.m,
-        n_groups=int(resolved["n_groups"]),
+        n_groups=n_groups,
         seed=int(resolved["seed"] or 0),
         positive_label=resolved["positive_label"],
     )
@@ -198,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     profile = resolved["profile"] or "small"
     warmup, warmup_epochs, confidence_cache = default_flags(task, profile)
     # profile epoch budgets pair with the warm-up lengths above
-    epochs = int(resolved["epochs"] or (200 if profile == "small" else 100))
+    epochs = int(resolved["epochs"] if resolved["epochs"] is not None else (200 if profile == "small" else 100))
     method = resolved["method"] or "uum"
     if method not in ("uum", "loglik"):
         raise UsageError("method must be 'uum' or 'loglik'")
@@ -218,7 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         warmup=warmup,
         warmup_epochs=warmup_epochs,
         confidence_cache=confidence_cache,
-        batch_size=int(resolved["batch_size"] or 128),
+        batch_size=int(resolved["batch_size"] if resolved["batch_size"] is not None else 128),
         learning_rate=resolved["learning_rate"],
         seed=seed,
         val_fraction=float(resolved["val_fraction"] if resolved["val_fraction"] is not None else 0.1),
@@ -324,18 +327,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time each closed-form posterior against brute-force enumeration."""
+    repeats = args.repeats
+    if repeats < 1:
+        raise UsageError("--repeats must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed or 0)))
     rows = []
-    specs = [
-        Task("pairwise", 2, 10),
-        Task("triplet", 3, 10),
-        Task("llp", 6, 10),
-        Task("mil", 6, 2),
-        Task("rank", 2, 10),
-        Task("ordinal_triplet", 3, 10),
-    ]
-    repeats = int(args.repeats or 20)
-    for task in specs:
+    for task in registered_tasks(m=6, k=10):
         etas = random_etas(task, rng)
         z = random_z(task, rng)
         t0 = time.perf_counter()
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -126,17 +126,6 @@ class SyntheticSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SyntheticSpec":
-        return cls(
-            k=int(doc["k"]),
-            d=int(doc["d"]),
-            means=doc["means"],
-            spreads=doc["spreads"],
-            prior=doc["prior"],
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
     """Draw n labeled points i.i.d. from the mixture; deterministic in the seed."""

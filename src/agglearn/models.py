@@ -46,6 +46,11 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _layer_dims(arch: str, d: int, out_dim: int) -> list[int]:
+    """Unit counts from input to output: [d, out] or [d, HIDDEN_UNITS, out]."""
+    return [d, HIDDEN_UNITS, out_dim] if arch == "mlp-300" else [d, out_dim]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -66,30 +71,33 @@ class Classifier:
             raise ValueError(f"unknown architecture {arch!r}")
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
+        if head == "sigmoid" and k != 2:
+            raise ValueError("the sigmoid head is binary: k must be 2")
         self.arch = arch
         self.head = head
         self.d = int(d)
         self.k = int(k)
         self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in layers]
+        dims = _layer_dims(arch, self.d, self.out_dim)
+        if len(self.layers) != len(dims) - 1:
+            raise ValueError(f"{arch} needs {len(dims) - 1} layers, got {len(self.layers)}")
+        for i, ((w, b), fan_in, fan_out) in enumerate(zip(self.layers, dims, dims[1:])):
+            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                raise ValueError(
+                    f"layer {i}: weight {w.shape} and bias {b.shape} do not fit "
+                    f"{fan_in} inputs and {fan_out} outputs"
+                )
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def create(cls, arch: str, head: str, d: int, k: int, seed: int = 0) -> "Classifier":
         """Seeded Glorot-uniform initialization (Philox counter-based stream)."""
-        if head == "sigmoid" and k != 2:
-            raise ValueError("the sigmoid head is binary: k must be 2")
-        out_dim = 1 if head == "sigmoid" else k
+        dims = _layer_dims(arch, d, 1 if head == "sigmoid" else k)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        if arch == "linear":
-            layers = [(_glorot_uniform(rng, d, out_dim), np.zeros(out_dim))]
-        elif arch == "mlp-300":
-            layers = [
-                (_glorot_uniform(rng, d, HIDDEN_UNITS), np.zeros(HIDDEN_UNITS)),
-                (_glorot_uniform(rng, HIDDEN_UNITS, out_dim), np.zeros(out_dim)),
-            ]
-        else:
-            raise ValueError(f"unknown architecture {arch!r}")
+        layers = [
+            (_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out)) for fan_in, fan_out in zip(dims, dims[1:])
+        ]
         return cls(arch, head, d, k, layers)
 
     @property
@@ -222,8 +230,12 @@ class Classifier:
         version = doc.get("schema_version")
         if version != CHECKPOINT_SCHEMA:
             raise ValueError(f"unsupported checkpoint schema {version!r}")
-        layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
-        return cls(doc["arch"], doc["head"], doc["d"], doc["k"], layers)
+        try:
+            layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
+            arch, head, d, k = doc["arch"], doc["head"], doc["d"], doc["k"]
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path} lacks the key {exc}") from None
+        return cls(arch, head, d, k, layers)
 
 
 @dataclass

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.learning_rate is not None and not 0.0 < float(self.learning_rate) < np.inf:
+            raise ValueError("learning_rate must be a positive finite number or None")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -80,10 +82,6 @@ class TrainConfig:
             "seed": self.seed,
             "val_fraction": self.val_fraction,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        return cls(**{k: doc[k] for k in doc if k in cls.__dataclass_fields__})
 
 
 def default_flags(task: Task, profile: str = "small") -> tuple[bool, int, bool]:
@@ -139,10 +137,6 @@ def observed_likelihood(task: Task, observations: list[GroupObservation], model:
         post = group_posterior(task, model.predict_proba(obs.xs), obs.z)
         total += float(np.log(max(post.pz, PZ_FLOOR)))
     return total
-
-
-def _mean_group_loglik(task: Task, observations: list[GroupObservation], model: Classifier) -> float:
-    return observed_likelihood(task, observations, model) / len(observations)
 
 
 def _check_observations(task: Task, observations: list[GroupObservation]) -> None:
@@ -278,7 +272,7 @@ def train(
 
         likelihood = observed_likelihood(task, train_obs, model)
         if val_obs:
-            val_metric = _mean_group_loglik(task, val_obs, model)
+            val_metric = observed_likelihood(task, val_obs, model) / len(val_obs)
         else:
             val_metric = likelihood / n_train
         metrics.append(

@@ -14,6 +14,8 @@ Four suites, each returning a machine-readable summary:
                   central finite differences, both architectures, all
                   heads.
 
+``SUITES`` maps each name to its function. Every suite checks every kind
+registered in ``TASKS``, so a new kind is verified without edits here.
 Every suite is deterministic given its seed. Summaries carry the observed
 maximum deviation next to the tolerance so regressions show up as numbers,
 not just booleans.
@@ -37,9 +39,6 @@ EM_JENSEN_SLACK = 1e-12
 GRAD_REL_TOL = 1e-5
 FD_STEP = 1e-5
 
-SUITES = ("oracle", "unbiased", "em", "grad")
-
-
 def _check(name: str, deviation: float, tolerance: float) -> dict:
     return {
         "name": name,
@@ -51,6 +50,12 @@ def _check(name: str, deviation: float, tolerance: float) -> dict:
 
 def _summarize(suite: str, checks: list[dict]) -> dict:
     return {"suite": suite, "checks": checks, "passed": all(c["passed"] for c in checks)}
+
+
+def registered_tasks(m: int, k: int) -> list[Task]:
+    """One task per registered kind, with group size m and k classes
+    wherever the kind leaves them free."""
+    return [Task(kind, m=spec.m or m, k=spec.k or k) for kind, spec in TASKS.items()]
 
 
 def _random_task(kind: str, rng: np.random.Generator) -> Task:
@@ -139,15 +144,8 @@ def _exact_estimator_expectation(task, points, px, cond, losses) -> float:
 def unbiased_suite(classifiers: int = 20, seed: int = 0) -> dict:
     """Exact E[L_agg] equals the supervised risk on finite domains."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    specs = [
-        Task("pairwise", 2, 3),
-        Task("triplet", 3, 3),
-        Task("mil", 3, 2),
-        Task("llp", 3, 3),
-        Task("rank", 2, 3),
-    ]
     checks = []
-    for task in specs:
+    for task in registered_tasks(m=3, k=3):
         deviation = 0.0
         for trial in range(classifiers):
             points, px, cond = _finite_domain(rng, task.k)
@@ -165,16 +163,8 @@ def unbiased_suite(classifiers: int = 20, seed: int = 0) -> dict:
 def em_suite(cases: int = 10, perturbations: int = 100, seed: int = 0) -> dict:
     """Jensen bound equality at the posterior responsibilities, and dominance."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    specs = [
-        Task("pairwise", 2, 5),
-        Task("triplet", 3, 4),
-        Task("llp", 3, 3),
-        Task("mil", 6, 2),
-        Task("rank", 2, 5),
-        Task("ordinal_triplet", 3, 4),
-    ]
     checks = []
-    for task in specs:
+    for task in registered_tasks(m=3, k=4):
         dev_equal = 0.0
         dev_jensen = 0.0
         for _ in range(cases):
@@ -231,16 +221,8 @@ def _fd_gradient_error(loss_fn, model: Classifier, grads, rng, coords_per_array:
 def grad_suite(seed: int = 0) -> dict:
     """Finite-difference validation of both losses on both architectures."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    specs = [
-        Task("pairwise", 2, 3),
-        Task("triplet", 3, 3),
-        Task("llp", 4, 3),
-        Task("mil", 4, 2),
-        Task("rank", 2, 4),
-        Task("ordinal_triplet", 3, 3),
-    ]
     checks = []
-    for task in specs:
+    for task in registered_tasks(m=4, k=3):
         worst = {"aggregate": 0.0, "loglik": 0.0}
         for arch in ("linear", "mlp-300"):
             model = Classifier.create(arch, task.spec.head, d=3, k=task.k, seed=int(rng.integers(0, 2**31)))
@@ -260,21 +242,18 @@ def grad_suite(seed: int = 0) -> dict:
     return _summarize("grad", checks)
 
 
+SUITES = {"oracle": oracle_suite, "unbiased": unbiased_suite, "em": em_suite, "grad": grad_suite}
+
+
 def run_suite(name: str, seed: int = 0) -> dict:
     """Run one suite by name, or every suite with name="all"."""
     if name == "all":
-        results = [run_suite(s, seed=seed) for s in SUITES]
+        results = [suite(seed=seed) for suite in SUITES.values()]
         return {
             "suite": "all",
             "suites": results,
             "passed": all(r["passed"] for r in results),
         }
-    if name == "oracle":
-        return oracle_suite(seed=seed)
-    if name == "unbiased":
-        return unbiased_suite(seed=seed)
-    if name == "em":
-        return em_suite(seed=seed)
-    if name == "grad":
-        return grad_suite(seed=seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITES + ('all',)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {[*SUITES, 'all']}")
+    return SUITES[name](seed=seed)

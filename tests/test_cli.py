@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from agglearn.cli import main
+from agglearn.models import Classifier
 
 
 def run(argv):
@@ -132,6 +133,62 @@ class TestPipeline:
                     "--out-dir", tmp_path, "--name", "milreport"]) == 0
         report = json.loads((tmp_path / "milreport.json").read_text())
         assert "group_accuracy" in report and "accuracy" in report
+
+
+class TestNonPositiveOptions:
+    """A flag set to 0 or below is rejected, never swapped for its default."""
+
+    @pytest.fixture()
+    def pairs(self, tmp_path, dataset_csv):
+        assert run(["aggregate", "--data", dataset_csv, "--task", "pairwise", "--k", 3,
+                    "--n-groups", 20, "--seed", 1, "--out-dir", tmp_path, "--name", "pairs"]) == 0
+        return tmp_path / "pairs.jsonl"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", 0], "epochs must be >= 1"),
+        (["--epochs", 1, "--batch-size", 0], "batch_size must be >= 1"),
+        (["--epochs", 1, "--learning-rate", -1], "learning_rate must be a positive finite number"),
+    ])
+    def test_train_rejects(self, tmp_path, pairs, capsys, flags, message):
+        assert run(["train", "--obs", pairs, "--k", 3, "--arch", "linear", *flags,
+                    "--out-dir", tmp_path, "--name", "run"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.checkpoint.json").exists()
+
+    def test_aggregate_rejects_zero_groups(self, tmp_path, dataset_csv, capsys):
+        assert run(["aggregate", "--data", dataset_csv, "--task", "pairwise", "--k", 3,
+                    "--n-groups", 0, "--out-dir", tmp_path, "--name", "none"]) == 1
+        assert "--n-groups must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "none.jsonl").exists()
+
+    def test_bench_rejects_zero_repeats(self, capsys):
+        assert run(["bench", "--repeats", 0]) == 1
+        captured = capsys.readouterr()
+        assert "--repeats must be >= 1" in captured.err
+        assert captured.out == ""
+
+
+class TestCheckpointValidation:
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "model.checkpoint.json"
+        Classifier.create("linear", "softmax", d=2, k=3, seed=0).save(path)
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["layers"][0].update(bias=[0.0]), "do not fit"),
+        (lambda doc: doc.update(k=4), "do not fit"),
+        (lambda doc: doc.pop("layers"), "lacks the key 'layers'"),
+    ])
+    def test_eval_rejects_a_malformed_checkpoint(self, tmp_path, dataset_csv, checkpoint, capsys,
+                                                 edit, message):
+        doc = json.loads(checkpoint.read_text())
+        edit(doc)
+        checkpoint.write_text(json.dumps(doc))
+        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset_csv, "--task", "pairwise",
+                    "--fit-on-test", "--out-dir", tmp_path, "--name", "report"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestVerifyAndBench:

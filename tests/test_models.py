@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -222,4 +225,26 @@ class TestCheckpoints:
         doc = path.read_text().replace('"schema_version": 1', '"schema_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError):
+            Classifier.load(path)
+
+    @pytest.mark.parametrize("arch, head, d, k, shapes", [
+        ("linear", "softmax", 2, 3, [((2, 3), (1,))]),  # bias would broadcast
+        ("linear", "softmax", 2, 4, [((2, 3), (3,))]),  # k beyond the output units
+        ("linear", "sigmoid", 2, 2, [((3, 1), (1,))]),  # input width off
+        ("mlp-300", "softmax", 2, 3, [((2, 3), (3,))]),  # one layer short
+        ("mlp-300", "softmax", 2, 3, [((2, 10), (10,)), ((10, 3), (3,))]),  # hidden width off
+    ])
+    def test_layer_shapes_must_fit_the_architecture(self, arch, head, d, k, shapes):
+        layers = [(np.zeros(w), np.zeros(b)) for w, b in shapes]
+        with pytest.raises(ValueError):
+            Classifier(arch, head, d=d, k=k, layers=layers)
+
+    @pytest.mark.parametrize("key", ["layers", "arch", "d"])
+    def test_missing_key_names_the_checkpoint(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        Classifier.create("linear", "softmax", d=2, k=2, seed=17).save(path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path} lacks the key '{key}'")):
             Classifier.load(path)

@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=5, val_fraction=1.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(epochs=5, learning_rate=rate)
+
     def test_default_flags(self):
         assert default_flags(Task("pairwise", 2, 3)) == (True, 100, True)
         assert default_flags(Task("pairwise", 2, 3), profile="large") == (True, 20, True)
