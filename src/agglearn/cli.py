@@ -25,7 +25,7 @@ import numpy as np
 from . import data as data_mod
 from .data import SyntheticSpec
 from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
-from .models import Classifier
+from .models import Classifier, load_checkpoint
 from .posteriors import brute_force_posterior, group_posterior
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
@@ -267,9 +267,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
               "label_column", "obs", "positive_label", "name"]
     resolved = _resolve(args, config, fields)
     _require(resolved, "checkpoint", "data", "task")
-    model = Classifier.load(resolved["checkpoint"])
-    with open(resolved["checkpoint"], "r", encoding="utf-8") as fh:
-        checkpoint_names = json.load(fh).get("label_names")
+    model, checkpoint = load_checkpoint(resolved["checkpoint"])
+    checkpoint_names = checkpoint.get("label_names")
     if resolved.get("k") is None:
         resolved["k"] = model.k
     task = _build_task(resolved)

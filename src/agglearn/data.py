@@ -265,7 +265,7 @@ def _parse_observation(line: str) -> GroupObservation:
         raise ValueError(f"unknown task kind {kind!r}")
     try:
         obs = GroupObservation(xs=xs, z=z, task_kind=kind)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
     obs.z = TASKS[kind].parse_z(z, obs.m)
     return obs
@@ -295,7 +295,7 @@ def load_observations(path) -> list[GroupObservation]:
                     raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
                 if z_len != counts:
                     raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # the decoder recurses once per nesting level
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             observations.append(obs)
             line_nos.append(line_no)

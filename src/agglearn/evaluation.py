@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import GroupObservation
 from .models import Classifier
-from .posteriors import posterior_mil
+from .tasks import TASKS
 
 MAX_ASSIGNMENT_CLASSES = 64
 
@@ -153,14 +153,13 @@ def group_accuracy_mil(
         raise ValueError(f"unknown rule {rule!r}")
     if not observations:
         raise ValueError("empty input")
+    if any(obs.task_kind != "mil" for obs in observations):
+        raise ValueError("group accuracy is defined for the bag task")
     hits = 0
-    for obs in observations:
-        if obs.task_kind != "mil":
-            raise ValueError("group accuracy is defined for the bag task")
+    for idx, stack in model.group_stacks([obs.xs for obs in observations]):
         if rule == "posterior":
-            post = posterior_mil(model.predict_proba(obs.xs), 1)
-            z_hat = int(post.pz >= 0.5)
+            z_hat = TASKS["mil"].pz(model.predict_proba(stack), [1] * len(idx)) >= 0.5
         else:
-            z_hat = int(np.any(model.predict(obs.xs) == 1))
-        hits += int(z_hat == int(obs.z))
+            z_hat = np.any(model.predict(stack) == 1, axis=-1)
+        hits += int(np.sum(z_hat == np.array([int(observations[i].z) for i in idx])))
     return hits / len(observations)

@@ -26,11 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .posteriors import to_cumulative
+
 ARCHITECTURES = ("linear", "mlp-300")
 HEADS = ("softmax", "sigmoid", "cumulative")
 
 HIDDEN_UNITS = 300
 CHECKPOINT_SCHEMA = 1
+
+# Cells of the widest activation per stacked chunk (``group_stacks``): 512 KB of float64.
+STACK_CELLS = 2**16
 
 # Optimizer defaults: adaptive moments with zero weight decay; the step
 # size depends on the architecture (the linear model trains on a much
@@ -128,15 +133,26 @@ class Classifier:
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
+        if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.d:
-            raise ValueError(f"input dimension {x.shape[1]} != model dimension {self.d}")
+        if x.shape[-1] != self.d:
+            raise ValueError(f"input dimension {x.shape[-1]} != model dimension {self.d}")
         return x
 
+    def group_stacks(self, xs):
+        """Yield (indices, (G, m, d) stack) over (m, d) groups: equal sizes in input
+        order, chunked by STACK_CELLS. A stacked forward repeats each group's own
+        GEMM, so it gives the per-group bits; a flat (G*m, d) GEMM would not."""
+        width = max(*_layer_dims(self.arch, self.d, self.out_dim), self.k)
+        sizes = [len(x) for x in xs]
+        for m in dict.fromkeys(sizes):
+            idx = [i for i, size in enumerate(sizes) if size == m]
+            step = max(1, STACK_CELLS // (m * width))
+            for chunk in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
+                yield chunk, np.stack([xs[i] for i in chunk])
+
     def forward(self, x) -> np.ndarray:
-        """Logits, shape (n, out_dim); a single vector input gives (out_dim,)."""
+        """Logits (n, out_dim) or (G, m, out_dim); a vector input gives (out_dim,)."""
         single = np.asarray(x).ndim == 1
         logits, _ = self.forward_cached(self._check_input(np.asarray(x)))
         return logits[0] if single else logits
@@ -175,25 +191,20 @@ class Classifier:
         return [x.T @ dhidden, dhidden.sum(axis=0), dw2, db2]
 
     def probabilities(self, logits: np.ndarray) -> np.ndarray:
-        """Per-class probabilities (n, k) from logits (n, out_dim); the sigmoid
-        head turns its single logit f into (1-s(f), s(f))."""
+        """Per-class probabilities (..., k) from logits (..., out_dim); the
+        sigmoid head turns its single logit f into (1-s(f), s(f))."""
         if self.head == "sigmoid":
             # softmax over (0, f) == logistic sigmoid of the single logit
-            logits = np.concatenate([np.zeros_like(logits), logits], axis=1)
+            logits = np.concatenate([np.zeros_like(logits), logits], axis=-1)
         return softmax(logits)
 
     def predict_proba(self, x) -> np.ndarray:
-        """Per-class probabilities (n, k); sigmoid head returns (1-s, s) pairs."""
-        logits = self.forward(x)
-        probs = self.probabilities(np.atleast_2d(logits))
-        return probs[0] if logits.ndim == 1 else probs
+        """Per-class probabilities (n, k) or (G, m, k); sigmoid head gives (1-s, s) pairs."""
+        return self.probabilities(self.forward(x))
 
     def predict_cumulative(self, x) -> np.ndarray:
         """Running-sum probabilities (n, k+1) for the ordinal tasks."""
-        probs = np.atleast_2d(self.predict_proba(x))
-        cum = np.concatenate([np.zeros((probs.shape[0], 1)), np.cumsum(probs, axis=1)], axis=1)
-        cum[:, -1] = 1.0
-        return cum[0] if np.asarray(x).ndim == 1 else cum
+        return to_cumulative(self.predict_proba(x))
 
     def predict(self, x) -> np.ndarray:
         """Hard labels: argmax class in 1..k, or {0,1} for the sigmoid head.
@@ -202,9 +213,9 @@ class Classifier:
         """
         logits = np.atleast_2d(self.forward(x))
         if self.head == "sigmoid":
-            labels = (logits[:, 0] >= 0.0).astype(np.int64)
+            labels = (logits[..., 0] >= 0.0).astype(np.int64)
         else:
-            labels = logits.argmax(axis=1) + 1
+            labels = logits.argmax(axis=-1) + 1
         return labels[0] if np.asarray(x).ndim == 1 else labels
 
     # -- serialization -----------------------------------------------------
@@ -225,17 +236,23 @@ class Classifier:
 
     @classmethod
     def load(cls, path) -> "Classifier":
+        return load_checkpoint(path)[0]
+
+
+def load_checkpoint(path) -> tuple[Classifier, dict]:
+    """The classifier at ``path`` and its whole document (extra keys such as
+    ``label_names``); a malformed one raises ValueError naming the path."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        version = doc.get("schema_version")
-        if version != CHECKPOINT_SCHEMA:
-            raise ValueError(f"unsupported checkpoint schema {version!r}")
-        try:
-            layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
-            arch, head, d, k = doc["arch"], doc["head"], doc["d"], doc["k"]
-        except KeyError as exc:
-            raise ValueError(f"checkpoint {path} lacks the key {exc}") from None
-        return cls(arch, head, d, k, layers)
+        if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA:
+            raise ValueError(f"not a JSON object of checkpoint schema {CHECKPOINT_SCHEMA}")
+        layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
+        return Classifier(doc["arch"], doc["head"], doc["d"], doc["k"], layers), doc
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
 @dataclass

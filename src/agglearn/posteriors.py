@@ -15,13 +15,16 @@ There is one closed form per task plus ``brute_force_posterior``, which
 sums over every label tuple consistent with z and acts as the reference
 implementation for all of them. The label-proportion form is a dense
 dynamic program over the count box: one array holds a whole sweep, the
-suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells.
+suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells;
+``pz_llp`` runs the prefix sweep alone.
 
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
-only and ``_indicator`` derives the other: p(z') = 1 - pz and
-joint' = eta - joint. The comparison and order kernels compute z = 1; the
-bag kernel computes z = 0, the all-negative product.
+only, in a ``*_event`` function over leading group axes that returns
+(marginals, p, joint). ``_indicator`` derives the other event for one group,
+p(z') = 1 - pz and joint' = eta - joint, and ``stacked_indicator`` derives
+p(z) alone for a (G, m, k) stack. The comparison and order kernels compute
+z = 1; the bag kernel computes z = 0, the all-negative product.
 
 Ordinal tasks (rank, ordinal_triplet) are parameterized by cumulative
 probabilities cum[j] = p(y <= j) with the sentinels cum[0] = 0 and
@@ -73,22 +76,22 @@ def _finish(pz: float, joint: np.ndarray) -> GroupPosterior:
 
 
 def to_cumulative(probs) -> np.ndarray:
-    """Per-class probabilities (k,) -> cumulative vector (k+1,) with exact endpoints."""
+    """Per-class probabilities (..., k) -> cumulative vectors (..., k+1) with exact endpoints."""
     probs = np.asarray(probs, dtype=np.float64)
-    cum = np.concatenate(([0.0], np.cumsum(probs)))
-    cum[-1] = 1.0
+    cum = np.concatenate([np.zeros(probs.shape[:-1] + (1,)), np.cumsum(probs, axis=-1)], axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
-def cumulative_rows(etas) -> list[np.ndarray]:
-    """Clamped per-class rows (m, k) -> one cumulative vector (k+1,) per instance.
+def cumulative_rows(etas) -> np.ndarray:
+    """Clamped per-class rows (..., m, k) -> one cumulative vector (k+1,) per instance.
 
     Clamping lifts near-zero entries, so a row can sum to 1 + (k-1) PROB_EPS;
     each row is rescaled to sum 1 first, or pinning cum[k] = 1 would leave
     p(y = k) negative.
     """
     rows = _clamp_probs(etas)
-    return [to_cumulative(row) for row in rows / rows.sum(axis=1, keepdims=True)]
+    return to_cumulative(rows / rows.sum(axis=-1, keepdims=True))
 
 
 def _check_cumulative(cum) -> np.ndarray:
@@ -102,7 +105,7 @@ def _check_cumulative(cum) -> np.ndarray:
     return cum
 
 
-def _indicator(etas: np.ndarray, z: int, side: int, pz: float, joint: np.ndarray) -> GroupPosterior:
+def _indicator(z: int, side: int, etas: np.ndarray, pz, joint: np.ndarray) -> GroupPosterior:
     """Posterior of a 0/1 label from a kernel's own event z = ``side``.
 
     z = 0 and z = 1 split the label tuples between them, so the other
@@ -116,25 +119,46 @@ def _indicator(etas: np.ndarray, z: int, side: int, pz: float, joint: np.ndarray
     return _finish(1.0 - pz, etas - joint)
 
 
+def stacked_indicator(event, side: int):
+    """p(z | group) of 0/1 labels for stacked groups (G, m, k) from a kernel's own event."""
+    def pz(etas, zs) -> np.ndarray:
+        own = event(_clamp_probs(etas))[1]
+        return np.maximum(np.where(np.asarray(zs) == side, own, 1.0 - own), 0.0)
+    return pz
+
+
+def pairwise_event(etas):
+    agree = etas[..., 0, :] * etas[..., 1, :]
+    return etas, agree.sum(axis=-1), np.stack([agree, agree], axis=-2)
+
+
 def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     """Similarity indicator, m=2: z = 1 iff the two hidden labels agree.
 
     p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
     per-class agreement products.
     """
-    etas = _clamp_probs([eta1, eta2])
-    agree = etas[0] * etas[1]
-    return _indicator(etas, z, 1, float(agree.sum()), np.stack([agree, agree]))
+    return _indicator(z, 1, *pairwise_event(_clamp_probs([eta1, eta2])))
+
+
+def triplet_event(etas):
+    pair12 = etas[..., 0, :] * etas[..., 1, :]
+    hit = pair12 * (1.0 - etas[..., 2, :])  # class-j mass of {y1 = y2 = j, y3 != j}
+    # For y3 = j the first two must agree on some class other than j.
+    other12 = (pair12.sum(axis=-1, keepdims=True) - pair12) * etas[..., 2, :]
+    return etas, hit.sum(axis=-1), np.stack([hit, hit, other12], axis=-2)
 
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    etas = _clamp_probs([eta1, eta2, eta3])
-    pair12 = etas[0] * etas[1]
-    hit = pair12 * (1.0 - etas[2])  # class-j mass of {y1 = y2 = j, y3 != j}
-    # For y3 = j the first two must agree on some class other than j.
-    other12 = (pair12.sum() - pair12) * etas[2]
-    return _indicator(etas, z, 1, float(hit.sum()), np.stack([hit, hit, other12]))
+    return _indicator(z, 1, *triplet_event(_clamp_probs([eta1, eta2, eta3])))
+
+
+def mil_event(etas):
+    pz = np.prod(etas[..., 0], axis=-1)
+    joint = np.zeros_like(etas)
+    joint[..., 0] = np.expand_dims(pz, -1)
+    return etas, pz, joint
 
 
 def posterior_mil(etas, z: int) -> GroupPosterior:
@@ -147,10 +171,7 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     etas = _clamp_probs(etas)
     if etas.ndim != 2 or etas.shape[1] != 2:
         raise ValueError("MIL expects (m, 2) probabilities over classes {0, 1}")
-    pz = float(np.prod(etas[:, 0]))
-    joint = np.zeros_like(etas)
-    joint[:, 0] = pz
-    return _indicator(etas, z, 0, pz, joint)
+    return _indicator(z, 0, *mil_event(etas))
 
 
 def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
@@ -175,19 +196,10 @@ def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     return starts, down
 
 
-def posterior_llp(etas, z) -> GroupPosterior:
-    """Label-proportion counts, m>=2: z[j] = number of instances of class j.
-
-    A dense dynamic program over the count box prod_j [0, z_j]. Count vector
-    c is reached after exactly |c| instances, so one box-sized array holds a
-    sweep: the mass of instances [0, |c|) having counts c, then, overwritten
-    level by level, that of instances [m - |c|, m). Each step is one gather
-    and one matrix-vector product, and the suffix sweep contracts as it goes:
-    joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
-    """
-    etas = _clamp_probs(etas)
+def _llp_prefix(etas: np.ndarray, z: tuple[int, ...]):
+    """Check counts z against clamped (m, k) etas and run the prefix sweep:
+    (starts, down, mass), where mass[-2], the cell of z itself, is p(z)."""
     m, k = etas.shape
-    z = tuple(int(c) for c in np.asarray(z).ravel())
     if len(z) != k:
         raise ValueError(f"count vector has {len(z)} entries, expected k={k}")
     if any(c < 0 for c in z):
@@ -202,14 +214,42 @@ def posterior_llp(etas, z) -> GroupPosterior:
     mass = np.r_[1.0, np.zeros(volume)]  # 1 at the empty count vector; index ``volume`` is the zero sentinel
     for eta, lo, hi in zip(etas, starts[1:-1], starts[2:]):
         mass[lo:hi] = eta @ mass[down[:, lo:hi]]
+    return starts, down, mass
+
+
+def posterior_llp(etas, z) -> GroupPosterior:
+    """Label-proportion counts, m>=2: z[j] = number of instances of class j.
+
+    A dense dynamic program over the count box prod_j [0, z_j]. Count vector
+    c is reached after exactly |c| instances, so one box-sized array holds a
+    sweep: the mass of instances [0, |c|) having counts c, then, overwritten
+    level by level, that of instances [m - |c|, m). Each step is one gather
+    and one matrix-vector product, and the suffix sweep contracts as it goes:
+    joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
+    """
+    etas = _clamp_probs(etas)
+    starts, down, mass = _llp_prefix(etas, tuple(int(c) for c in np.asarray(z).ravel()))
+    volume = mass.size - 1
     # prefix[p] = prefix mass of z - c for cell p = c: the flip c -> z - c maps p to volume - 1 - p
     prefix = mass[volume - 1 :: -1].copy()
-    joint = np.empty((m, k))
-    for i, lo, hi in zip(range(m - 1, -1, -1), starts[1:-1], starts[2:]):
+    joint = np.empty(etas.shape)
+    for i, lo, hi in zip(range(len(etas) - 1, -1, -1), starts[1:-1], starts[2:]):
         rest = mass[down[:, lo:hi]]  # rest[j, q] = suffix[q - e_j]
         mass[lo:hi] = etas[i] @ rest
         joint[i] = rest @ prefix[lo:hi]
     return _finish(prefix[0], etas * joint)
+
+
+def pz_llp(etas, zs) -> np.ndarray:
+    """p(z | group) for stacked groups (G, m, k): the prefix sweep alone, per group."""
+    return np.array([max(_llp_prefix(_clamp_probs(e), tuple(z))[2][-2], 0.0) for e, z in zip(etas, zs)])
+
+
+def rank_event(cum):
+    probs = np.diff(cum, axis=-1)
+    below1 = cum[..., 0, :-1] * probs[..., 1, :]  # p(y1 <= j-1, y2 = j) for j = 1..k
+    joint = np.stack([(1.0 - cum[..., 1, 1:]) * probs[..., 0, :], below1], axis=-2)
+    return probs, below1.sum(axis=-1), joint
 
 
 def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
@@ -218,41 +258,39 @@ def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
     Inputs are cumulative vectors (k+1,). p(z=1) accumulates, over the
     value j of y2, the chance that y1 lands strictly below j.
     """
-    cum1 = _check_cumulative(cum1)
-    cum2 = _check_cumulative(cum2)
-    probs = np.stack([np.diff(cum1), np.diff(cum2)])
-    below1 = cum1[:-1] * probs[1]  # p(y1 <= j-1, y2 = j) for j = 1..k
-    joint = np.stack([(1.0 - cum2[1:]) * probs[0], below1])
-    return _indicator(probs, z, 1, float(below1.sum()), joint)
+    return _indicator(z, 1, *rank_event(np.stack([_check_cumulative(cum1), _check_cumulative(cum2)])))
 
 
 def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
-    """p(lo < y <= hi) elementwise for ordinal y with cumulative vector cum.
+    """p(lo < y <= hi) elementwise for ordinal y with cumulative vectors (..., k+1).
 
     Indices are clamped into [0, k] so out-of-range ends resolve through
     the 0/1 sentinels, and the max zeroes empty bands (hi < lo).
     """
-    k = cum.shape[0] - 1
-    return np.maximum(cum[np.clip(hi, 0, k)] - cum[np.clip(lo, 0, k)], 0.0)
+    k = cum.shape[-1] - 1
+    return np.maximum(cum[..., np.clip(hi, 0, k)] - cum[..., np.clip(lo, 0, k)], 0.0)
 
 
-def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
-    """Comparison indicator with ordinal distance, m=3: z = 1 iff |y1-y2| < |y1-y3|."""
-    cum1 = _check_cumulative(cum1)
-    cum2 = _check_cumulative(cum2)
-    cum3 = _check_cumulative(cum3)
-    probs = np.stack([np.diff(cum1), np.diff(cum2), np.diff(cum3)])
-    labels = np.arange(1, cum1.shape[0])
+def ordinal_triplet_event(cum):
+    probs = np.diff(cum, axis=-1)
+    labels = np.arange(1, cum.shape[-1])
     a, b = labels[:, None], labels[None, :]
     radius = np.abs(b - a)
     # closer2[a, b] = p(|y2 - a| < |b - a|): y2 strictly inside the band
     # around y1 = a whose radius is set by y3 = b.
-    closer2 = _band(cum2, a - radius, a + radius - 1)
+    closer2 = _band(cum[..., 1, :], a - radius, a + radius - 1)
     # beyond3[a, c] = p(|y3 - a| > |c - a|): y3 outside the closed band
     # around y1 = a whose radius is set by y2 = c.
-    beyond3 = 1.0 - _band(cum3, a - radius - 1, a + radius)
-    joint = probs * np.stack([closer2 @ probs[2], probs[0] @ beyond3, probs[0] @ closer2])
-    return _indicator(probs, z, 1, float(joint[0].sum()), joint)
+    beyond3 = 1.0 - _band(cum[..., 2, :], a - radius - 1, a + radius)
+    # explicit sums, not BLAS matrix-vector products, give a stack each group's bits
+    p1, p3 = probs[..., 0, :, None], probs[..., 2, None, :]
+    joint = probs * np.stack([(closer2 * p3).sum(axis=-1), (p1 * beyond3).sum(axis=-2), (p1 * closer2).sum(axis=-2)], axis=-2)
+    return probs, joint[..., 0, :].sum(axis=-1), joint
+
+
+def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
+    """Comparison indicator with ordinal distance, m=3: z = 1 iff |y1-y2| < |y1-y3|."""
+    return _indicator(z, 1, *ordinal_triplet_event(np.stack([_check_cumulative(c) for c in (cum1, cum2, cum3)])))
 
 
 def group_posterior(task: Task, etas, z) -> GroupPosterior:

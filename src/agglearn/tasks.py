@@ -32,16 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .posteriors import (
-    GroupPosterior,
-    cumulative_rows,
-    posterior_llp,
-    posterior_mil,
-    posterior_ordinal_triplet,
-    posterior_pairwise,
-    posterior_rank,
-    posterior_triplet,
-)
+from . import posteriors as kernels
 
 # Hard cap on the number of count vectors enumerate_z will materialize.
 MAX_COMPOSITIONS = 10**6
@@ -56,10 +47,13 @@ class TaskSpec:
     0/1 component for the indicator tasks, k counts for label proportions.
     ``posterior`` is the closed form p(z | group), p(z, y_i = j | group)
     for validated per-class probabilities (m, k) and a validated z.
+    ``pz`` is p(z | group) alone, shape (G,), for groups stacked as (G, m, k)
+    and G validated labels; each entry equals ``posterior(...).pz`` bit for bit.
     """
 
     g: Callable
-    posterior: Callable[[np.ndarray, object], GroupPosterior]
+    posterior: Callable[[np.ndarray, object], kernels.GroupPosterior]
+    pz: Callable[[np.ndarray, list], np.ndarray]
     m: int | None = None  # fixed group size; None allows any m >= 2
     k: int | None = None  # fixed class count; None allows any k >= min_k
     min_k: int = 1
@@ -92,7 +86,8 @@ class TaskSpec:
 TASKS: dict[str, TaskSpec] = {
     "pairwise": TaskSpec(
         g=lambda y, k: [y[0] == y[1]],
-        posterior=lambda etas, z: posterior_pairwise(*etas, z),
+        posterior=lambda etas, z: kernels.posterior_pairwise(*etas, z),
+        pz=kernels.stacked_indicator(kernels.pairwise_event, 1),
         m=2,
         min_k=2,
         identifiable=False,
@@ -100,20 +95,23 @@ TASKS: dict[str, TaskSpec] = {
     "triplet": TaskSpec(
         # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
         g=lambda y, k: [(y[0] == y[1]) & (y[0] != y[2])],
-        posterior=lambda etas, z: posterior_triplet(*etas, z),
+        posterior=lambda etas, z: kernels.posterior_triplet(*etas, z),
+        pz=kernels.stacked_indicator(kernels.triplet_event, 1),
         m=3,
         min_k=2,
         identifiable=False,
     ),
     "llp": TaskSpec(
         g=lambda y, k: (sum(a == j for a in y) for j in range(1, k + 1)),
-        posterior=posterior_llp,
+        posterior=kernels.posterior_llp,
+        pz=kernels.pz_llp,
         counts=True,
         warmup=False,
     ),
     "mil": TaskSpec(
         g=lambda y, k: [functools.reduce(np.maximum, y)],
-        posterior=posterior_mil,
+        posterior=kernels.posterior_mil,
+        pz=kernels.stacked_indicator(kernels.mil_event, 0),
         k=2,
         first_label=0,
         head="sigmoid",
@@ -123,13 +121,15 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "rank": TaskSpec(
         g=lambda y, k: [y[0] < y[1]],
-        posterior=lambda etas, z: posterior_rank(*cumulative_rows(etas), z),
+        posterior=lambda etas, z: kernels.posterior_rank(*kernels.cumulative_rows(etas), z),
+        pz=kernels.stacked_indicator(lambda etas: kernels.rank_event(kernels.cumulative_rows(etas)), 1),
         m=2,
         head="cumulative",
     ),
     "ordinal_triplet": TaskSpec(
         g=lambda y, k: [abs(y[0] - y[1]) < abs(y[0] - y[2])],
-        posterior=lambda etas, z: posterior_ordinal_triplet(*cumulative_rows(etas), z),
+        posterior=lambda etas, z: kernels.posterior_ordinal_triplet(*kernels.cumulative_rows(etas), z),
+        pz=kernels.stacked_indicator(lambda etas: kernels.ordinal_triplet_event(kernels.cumulative_rows(etas)), 1),
         m=3,
         head="cumulative",
     ),

@@ -131,12 +131,23 @@ class TrainResult:
 
 
 def observed_likelihood(task: Task, observations: list[GroupObservation], model: Classifier) -> float:
-    """Sum of log p(z | group) over the observations under the model."""
+    """Sum of log p(z | group) over the observations under the model, from stacked
+    forwards and the task's p(z)-only kernel, added in group order."""
+    spec = task.spec
+    pz = np.empty(len(observations))
+    for idx, stack in model.group_stacks([obs.xs for obs in observations]):
+        zs = [spec.parse_z(observations[i].z, observations[i].m, task.k) for i in idx]
+        pz[idx] = spec.pz(model.predict_proba(stack), zs)
     total = 0.0
-    for obs in observations:
-        post = group_posterior(task, model.predict_proba(obs.xs), obs.z)
-        total += float(np.log(max(post.pz, PZ_FLOOR)))
+    for p in pz.tolist():
+        total += float(np.log(max(p, PZ_FLOOR)))
     return total
+
+
+def _predict_groups(model: Classifier, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-class probabilities (m, k) of each group in ``xs``, from stacked forwards."""
+    probs = {i: etas for idx, stack in model.group_stacks(xs) for i, etas in zip(idx, model.predict_proba(stack))}
+    return [probs[i] for i in range(len(xs))]
 
 
 def _check_observations(task: Task, observations: list[GroupObservation]) -> None:
@@ -200,6 +211,7 @@ def train(
 
         for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
             batch_idx = epoch_order[start : start + config.batch_size]
+            batch_xs = [train_obs[gi].xs for gi in batch_idx]
             grads = None
             contributed = 0
             batch_loss = 0.0
@@ -214,12 +226,9 @@ def train(
                 batch_etas = []
                 batch_weights = []
                 usable = []
-                for gi in batch_idx:
+                sources = confidence[batch_idx] if confidence is not None else _predict_groups(model, batch_xs)
+                for gi, etas in zip(batch_idx, sources):
                     obs = train_obs[gi]
-                    if confidence is not None:
-                        etas = confidence[gi]
-                    else:
-                        etas = model.predict_proba(obs.xs)
                     try:
                         weights = compute_weights(group_posterior(task, etas, obs.z))
                     except DegenerateGroupError:
@@ -252,8 +261,7 @@ def train(
                 loss_groups += contributed
 
             if confidence is not None:
-                for gi in batch_idx:
-                    confidence[gi] = model.predict_proba(train_obs[gi].xs)
+                confidence[batch_idx] = _predict_groups(model, batch_xs)
                 if weight_probe is not None:
                     weight_probe(
                         {
