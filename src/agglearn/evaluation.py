@@ -155,6 +155,8 @@ def group_accuracy_mil(
         raise ValueError("empty input")
     if any(obs.task_kind != "mil" for obs in observations):
         raise ValueError("group accuracy is defined for the bag task")
+    if rule == "posterior" and model.k != 2:
+        raise ValueError("the bag posterior needs probabilities over classes {0, 1}")
     hits = 0
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
         if rule == "posterior":

@@ -136,6 +136,7 @@ def observed_likelihood(task: Task, observations: list[GroupObservation], model:
     spec = task.spec
     pz = np.empty(len(observations))
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
+        task.check_group_size(stack.shape[1])
         zs = [spec.parse_z(observations[i].z, observations[i].m, task.k) for i in idx]
         pz[idx] = spec.pz(model.predict_proba(stack), zs)
     total = 0.0

@@ -81,3 +81,17 @@ def test_bag_verdicts_match_a_per_bag_loop(rule):
             z_hat = int(np.any(model.predict(obs.xs) == 1))
         hits += int(z_hat == obs.z)
     assert group_accuracy_mil(model, observations, rule=rule) == hits / len(observations)
+
+
+def test_groups_of_the_wrong_size_are_refused():
+    task = Task("pairwise", 2, 3)
+    observations = draw_observations(Task("triplet", 3, 3), [3] * 4, seed=10)
+    observations = [GroupObservation(xs=o.xs, z=o.z, task_kind="pairwise") for o in observations]
+    with pytest.raises(ValueError, match="m=2"):
+        observed_likelihood(task, observations, model_for(task))
+
+
+def test_bag_posterior_needs_a_binary_model():
+    observations = draw_observations(Task("mil", 4, 2), [4] * 3, seed=11)
+    with pytest.raises(ValueError, match="classes"):
+        group_accuracy_mil(model_for(Task("llp", 4, 3)), observations)
