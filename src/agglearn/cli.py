@@ -216,15 +216,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         warmup, warmup_epochs = True, epochs
     warmup_epochs = min(warmup_epochs, epochs)
 
+    casts = {"batch_size": int, "val_fraction": float}  # options not given keep TrainConfig's defaults
+    given = {f: cast(resolved[f]) for f, cast in casts.items() if resolved[f] is not None}
     train_config = TrainConfig(
         epochs=epochs,
         warmup=warmup,
         warmup_epochs=warmup_epochs,
         confidence_cache=confidence_cache,
-        batch_size=int(resolved["batch_size"] if resolved["batch_size"] is not None else 128),
         learning_rate=resolved["learning_rate"],
         seed=seed,
-        val_fraction=float(resolved["val_fraction"] if resolved["val_fraction"] is not None else 0.1),
+        **given,
     )
     resolved.update(train_config.to_json())
     resolved.update({"arch": arch, "head": head, "method": method, "m": task.m, "k": task.k})

@@ -267,14 +267,15 @@ def _parse_observation(line: str) -> GroupObservation:
         obs = GroupObservation(xs=xs, z=z, task_kind=kind)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
+    TASKS[kind].check_group_size(obs.m, kind)
     obs.z = TASKS[kind].parse_z(z, obs.m)
     return obs
 
 
 def load_observations(path) -> list[GroupObservation]:
-    """Read a JSON-lines observation file; all lines must share one task kind,
-    one feature width and, for count labels, one count-vector length. A bad
-    line raises ValueError naming ``path:line``."""
+    """Read a JSON-lines observation file; every group must have a size its kind allows, and
+    all lines must share one task kind, one feature width and, for count labels, one
+    count-vector length. A bad line raises ValueError naming ``path:line``."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"observation file not found: {path}")
     observations = []

@@ -26,6 +26,8 @@ from .models import Classifier
 from .tasks import TASKS
 
 MAX_ASSIGNMENT_CLASSES = 64
+# brute_force_matching tries k! permutations: about 1.5 s at k = 9, hours at k = 13.
+MAX_BRUTE_FORCE_CLASSES = 9
 
 
 def accuracy(preds, labels) -> float:
@@ -102,13 +104,15 @@ def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
 
 
 def brute_force_matching(confusion) -> tuple[float, np.ndarray]:
-    """Factorial-search oracle for modified_accuracy (small k only).
+    """Factorial-search oracle for modified_accuracy, for k <= MAX_BRUTE_FORCE_CLASSES.
 
     Scans permutations in lexicographic order, keeping the first of
     maximal value, so ties resolve identically to modified_accuracy.
     """
     confusion = np.asarray(confusion)
     k = confusion.shape[0]
+    if k > MAX_BRUTE_FORCE_CLASSES:
+        raise ValueError(f"factorial search over {k} classes exceeds the bound of {MAX_BRUTE_FORCE_CLASSES}")
     total = confusion.sum()
     best_value = -1
     best_perm = None

@@ -19,10 +19,10 @@ Two differentiable objectives share one model code path:
 consistent set S(z) and evaluates the Jensen lower bound on the group
 log-likelihood; with the posterior responsibilities it is tight.
 
-The per-instance loss is softmax cross-entropy (multi-class, cumulative
-head included: the per-class probabilities are the softmax outputs either
-way) or the logistic loss (sigmoid head), which is exactly 2-class
-cross-entropy over (1 - s(f), s(f)).
+The default per-class loss is softmax cross-entropy (cumulative head
+included: its per-class probabilities are softmax outputs too) or the
+logistic loss (sigmoid head), exactly 2-class cross-entropy over
+(1 - s(f), s(f)); any other per-class loss plugs into the same path.
 """
 
 from __future__ import annotations
@@ -61,24 +61,20 @@ def compute_weights(posterior: GroupPosterior) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _to_logit_grad(model: Classifier, dprob_style: np.ndarray) -> np.ndarray:
-    """Map a (rowsums*probs - target)-style gradient to the model's logits.
-
-    For softmax/cumulative heads that expression already is the logit
-    gradient; the sigmoid head keeps only the positive-class column (the
-    negative logit is pinned at zero).
-    """
-    if model.head == "sigmoid":
-        return dprob_style[:, 1:2]
-    return dprob_style
+def _soft_target_grad(model: Classifier, probs: np.ndarray, targets: np.ndarray, scale) -> np.ndarray:
+    """Logit gradient (rowsum(targets) * probs - targets) / scale of a loss of
+    soft-target form; the sigmoid head keeps only its positive-class column
+    (its negative logit is pinned at zero)."""
+    grad = (targets.sum(axis=1, keepdims=True) * probs - targets) / scale
+    return grad[:, 1:2] if model.head == "sigmoid" else grad
 
 
 def aggregate_loss(xs, weights, model: Classifier, instance_loss=None):
     """Weighted group loss and its parameter gradients.
 
-    loss = (1/m) sum_i sum_j w[i][j] * L(x_i, j; f) with L defaulting to
-    the per-instance cross-entropy / logistic loss. ``weights`` are treated
-    as constants.
+    loss = (1/m) sum_i sum_j w[i][j] * L(x_i, j; f), ``weights`` constant. L
+    defaults to cross-entropy, values -log(max(p, PROB_EPS)), whose weighted
+    logit gradient is the soft-target form of ``_soft_target_grad``.
 
     The weighting scheme is loss-agnostic: pass ``instance_loss`` to swap
     L. It receives the logits (m, out_dim) and must return
@@ -91,24 +87,19 @@ def aggregate_loss(xs, weights, model: Classifier, instance_loss=None):
     xs = np.asarray(xs, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     m = xs.shape[0]
-    if weights.shape[0] != m:
-        raise ValueError("weights and group size disagree")
-    if instance_loss is not None:
-        logits, cache = model.forward_cached(xs)
-        values, dvalues = instance_loss(logits)
-        if values.shape != weights.shape:
-            raise ValueError("instance_loss values and weights disagree in shape")
-        loss = float((weights * values).sum() / m)
-        dlogits = np.einsum("ij,ijc->ic", weights, np.asarray(dvalues)) / m
-        return loss, model.backward(dlogits, cache)
+    if weights.shape != (m, model.k):
+        raise ValueError(f"weights {weights.shape} do not fit a group of {m} over {model.k} classes")
     logits, cache = model.forward_cached(xs)
-    probs = model.probabilities(logits)
-    if weights.shape[1] != probs.shape[1]:
-        raise ValueError("weights and class count disagree")
-    logp = np.log(np.maximum(probs, PROB_EPS))
-    loss = float(-(weights * logp).sum() / m)
-    row_mass = weights.sum(axis=1, keepdims=True)
-    dlogits = _to_logit_grad(model, (row_mass * probs - weights) / m)
+    if instance_loss is None:
+        probs = model.probabilities(logits)
+        values = -np.log(np.maximum(probs, PROB_EPS))
+        dlogits = _soft_target_grad(model, probs, weights, m)
+    else:
+        values, dvalues = instance_loss(logits)
+        if np.shape(values) != weights.shape:
+            raise ValueError("instance_loss values and weights disagree in shape")
+        dlogits = np.einsum("ij,ijc->ic", weights, np.asarray(dvalues)) / m
+    loss = float((weights * values).sum() / m)
     return loss, model.backward(dlogits, cache)
 
 
@@ -116,8 +107,8 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
     """Group negative log-likelihood -log p(z | x_1..m) with exact gradients.
 
     The gradient flows through the posterior: d(-log pz)/dlogit[i][c]
-    = rowsum_i * eta[i][c]/pz - joint[i][c]/pz, which reduces to
-    eta - w when the joint rows marginalize exactly to pz.
+    = rowsum_i * eta[i][c]/pz - joint[i][c]/pz (soft targets joint), which
+    reduces to eta - w when the joint rows marginalize exactly to pz.
 
     Returns (loss, grads).
     """
@@ -127,9 +118,7 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
     post = group_posterior(task, probs, z)
     pz = max(post.pz, PZ_FLOOR)
     loss = float(-np.log(pz))
-    row_mass = post.joint.sum(axis=1, keepdims=True)
-    dlogits = _to_logit_grad(model, (row_mass * probs - post.joint) / pz)
-    return loss, model.backward(dlogits, cache)
+    return loss, model.backward(_soft_target_grad(model, probs, post.joint, pz), cache)
 
 
 def estep_omega(task: Task, etas, z) -> np.ndarray:

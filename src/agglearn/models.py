@@ -1,7 +1,8 @@
 """Classifiers with exact analytic backprop, plus an Adam optimizer.
 
 Two architectures: a linear map and a one-hidden-layer ReLU network with
-300 units ("mlp-300"). Three heads describe how logits become per-class
+300 units ("mlp-300"), both one loop over (weight, bias) layers with a
+ReLU between layers. Three heads describe how logits become per-class
 probabilities:
 
 * softmax     -- k logits, stabilized softmax;
@@ -158,37 +159,33 @@ class Classifier:
         return logits[0] if single else logits
 
     def forward_cached(self, x: np.ndarray):
-        """Logits plus the activation cache consumed by ``backward``."""
+        """Logits plus the cache ``backward`` consumes: the input of each layer."""
         x = self._check_input(x)
-        if self.arch == "linear":
-            w, b = self.layers[0]
-            return x @ w + b, {"x": x}
-        w1, b1 = self.layers[0]
-        w2, b2 = self.layers[1]
-        pre = x @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ w2 + b2
-        return logits, {"x": x, "pre": pre, "hidden": hidden}
+        inputs = []
+        for w, b in self.layers:
+            if inputs:
+                x = np.maximum(x, 0.0)
+            inputs.append(x)
+            x = x @ w + b
+        return x, inputs
 
-    def backward(self, dlogits: np.ndarray, cache: dict) -> list[np.ndarray]:
+    def backward(self, dlogits: np.ndarray, cache: list) -> list[np.ndarray]:
         """Exact parameter gradients from per-logit upstream gradients.
 
-        Returns arrays aligned with ``parameters()``. The cache must come
-        from the forward pass on the same batch.
+        Returns arrays aligned with ``parameters()``. The cache must come from the
+        forward pass on the same batch; a ReLU input max(pre, 0) is 0 iff pre <= 0.
         """
-        x = cache["x"]
-        dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.shape != (x.shape[0], self.out_dim):
+        dout = np.asarray(dlogits, dtype=np.float64)
+        if dout.shape != (cache[0].shape[0], self.out_dim):
             raise ValueError("upstream gradient shape does not match the cached batch")
-        if self.arch == "linear":
-            return [x.T @ dlogits, dlogits.sum(axis=0)]
-        w2, _ = self.layers[1]
-        hidden = cache["hidden"]
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        dhidden[cache["pre"] <= 0.0] = 0.0
-        return [x.T @ dhidden, dhidden.sum(axis=0), dw2, db2]
+        grads = []
+        for i in range(len(cache) - 1, -1, -1):
+            x = cache[i]
+            grads[:0] = (x.T @ dout, dout.sum(axis=0))
+            if i:
+                dout = dout @ self.layers[i][0].T
+                dout[x <= 0.0] = 0.0
+        return grads
 
     def probabilities(self, logits: np.ndarray) -> np.ndarray:
         """Per-class probabilities (..., k) from logits (..., out_dim); the
@@ -260,9 +257,6 @@ class AdamState:
     """First/second moment buffers and step counter for one parameter list."""
 
     lr: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -288,8 +282,8 @@ def adam_step(model: Classifier, grads: list[np.ndarray], state: AdamState) -> N
     for i, (p, g) in enumerate(zip(params, grads)):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter {i} at step {t}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

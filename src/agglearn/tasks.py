@@ -82,6 +82,14 @@ class TaskSpec:
             )
         return counts
 
+    def check_group_size(self, m: int, kind: str) -> None:
+        """Raise unless a group of m instances fits the kind: its fixed m, or
+        any m >= 2 for the kinds that leave m free."""
+        if self.m is not None and m != self.m:
+            raise ValueError(f"task {kind!r} requires m={self.m}, got m={m}")
+        if self.m is None and m < 2:
+            raise ValueError(f"task {kind!r} requires m >= 2, got m={m}")
+
 
 TASKS: dict[str, TaskSpec] = {
     "pairwise": TaskSpec(
@@ -165,13 +173,8 @@ class Task:
         return tuple(range(first, first + self.k))
 
     def check_group_size(self, m: int) -> None:
-        """Raise unless a group of m instances fits the task (llp/mil groups
-        may deviate from the task's own m)."""
-        fixed = self.spec.m
-        if fixed is not None and m != fixed:
-            raise ValueError(f"task {self.kind!r} requires m={fixed}, got m={m}")
-        if fixed is None and m < 2:
-            raise ValueError(f"task {self.kind!r} requires m >= 2, got m={m}")
+        """Raise unless a group of m fits the kind (llp/mil groups may deviate from the task's m)."""
+        self.spec.check_group_size(m, self.kind)
 
     def consistency_mask(self, z, m: int | None = None, max_tuples: int = 10**7) -> np.ndarray:
         """Boolean tensor over the full label space of a group of m marking g(y_1..m) = z.

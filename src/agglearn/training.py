@@ -213,49 +213,37 @@ def train(
         for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
             batch_idx = epoch_order[start : start + config.batch_size]
             batch_xs = [train_obs[gi].xs for gi in batch_idx]
-            grads = None
-            contributed = 0
-            batch_loss = 0.0
             if warm:
-                for gi in batch_idx:
-                    obs = train_obs[gi]
-                    loss, g = loglik_loss(task, obs.xs, obs.z, model)
-                    grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-                    batch_loss += loss
-                    contributed += 1
+                updates = (loglik_loss(task, train_obs[gi].xs, train_obs[gi].z, model) for gi in batch_idx)
             else:
-                batch_etas = []
-                batch_weights = []
-                usable = []
+                usable = []  # (group, etas, weights) of each group that is not degenerate
                 sources = confidence[batch_idx] if confidence is not None else _predict_groups(model, batch_xs)
                 for gi, etas in zip(batch_idx, sources):
-                    obs = train_obs[gi]
                     try:
-                        weights = compute_weights(group_posterior(task, etas, obs.z))
+                        usable.append((gi, etas, compute_weights(group_posterior(task, etas, train_obs[gi].z))))
                     except DegenerateGroupError:
                         degenerate += 1
-                        continue
-                    usable.append(gi)
-                    batch_etas.append(etas)
-                    batch_weights.append(weights)
                 if weight_probe is not None:
                     weight_probe(
                         {
                             "phase": "weights",
                             "epoch": epoch,
                             "batch": batch_no,
-                            "indices": list(usable),
-                            "etas": [e.copy() for e in batch_etas],
-                            "weights": [w.copy() for w in batch_weights],
+                            "indices": [gi for gi, _, _ in usable],
+                            "etas": [e.copy() for _, e, _ in usable],
+                            "weights": [w.copy() for _, _, w in usable],
                         }
                     )
-                for gi, weights in zip(usable, batch_weights):
-                    obs = train_obs[gi]
-                    loss, g = aggregate_loss(obs.xs, weights, model)
-                    grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-                    batch_loss += loss
-                    contributed += 1
+                updates = (aggregate_loss(train_obs[gi].xs, w, model) for gi, _, w in usable)
 
+            # one accumulate-and-step for both phases: gradients add in group order
+            grads = None
+            batch_loss = 0.0
+            contributed = 0
+            for loss, g in updates:
+                grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+                batch_loss += loss
+                contributed += 1
             if contributed:
                 adam_step(model, [g / contributed for g in grads], opt)
                 loss_sum += batch_loss

@@ -130,8 +130,6 @@ def _exact_estimator_expectation(task, points, px, cond, losses) -> float:
         etas = cond[idx]
         for z in z_space:
             post = group_posterior(task, etas, z)
-            if post.pz <= PZ_FLOOR:
-                continue
             try:
                 weights = compute_weights(post)
             except DegenerateGroupError:

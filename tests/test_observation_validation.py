@@ -19,6 +19,8 @@ BAD_LINES = {
     "mixed_feature_widths": (PAIR, '{"xs": [[0.1, 0.2, 0.5], [0.3, 0.4, 0.6]], "z": 1, "task": "pairwise"}'),
     "negative_count": (LLP, '{"xs": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "z": [4, -1], "task": "llp"}'),
     "counts_off_group_size": (LLP, '{"xs": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "z": [1, 1], "task": "llp"}'),
+    "pairwise_group_of_three": (PAIR, '{"xs": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "z": 1, "task": "pairwise"}'),
+    "bag_of_one": ('{"xs": [[0.1, 0.2], [0.3, 0.4]], "z": 1, "task": "mil"}', '{"xs": [[0.1, 0.2]], "z": 1, "task": "mil"}'),
 }
 
 
