@@ -1,11 +1,12 @@
 """Command-line pipeline: synth -> aggregate -> train -> eval, plus verify/bench.
 
-Every subcommand accepts ``--config FILE`` (JSON) and individual flags;
-flags win over config values. Outputs land in --out-dir, defaulting to the
-AGGLEARN_OUT_DIR environment variable or the working directory. Artifacts
-carry the sha256 hash of the resolved configuration that produced them
-(embedded for JSON artifacts, sidecar ``<name>.meta.json`` for CSV/JSONL
-files whose schema is fixed).
+synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags, and
+flags win. A config key is its flag's name with underscores; ``OPTIONS`` types
+and checks it like the flag, and an unknown key or a bad value is a usage
+error naming the file. Outputs land in --out-dir, else $AGGLEARN_OUT_DIR, else
+the working directory. Artifacts carry the sha256 hash of the resolved
+configuration that produced them (embedded for JSON artifacts, sidecar
+``<name>.meta.json`` for CSV/JSONL files whose schema is fixed).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime abort,
 3 verification failure.
@@ -52,22 +53,79 @@ def _out_dir(value: str | None) -> str:
     return out
 
 
+# Each option of synth, aggregate, train and eval, declared once: its flag's
+# argparse keywords (key n_groups is flag --n-groups), or None if only --config sets it.
+OPTIONS: dict[str, dict[str, dict | None]] = {
+    "synth": {
+        "k": {"type": int}, "d": {"type": int}, "n": {"type": int}, "seed": {"type": int},
+        "means": None, "spreads": None, "prior": None, "name": {},
+    },
+    "aggregate": {
+        "data": {}, "task": {"choices": list(TASKS)}, "m": {"type": int}, "k": {"type": int},
+        "n_groups": {"type": int}, "seed": {"type": int}, "positive_label": {"type": int},
+        "label_column": {}, "name": {},
+    },
+    "train": {
+        "obs": {}, "task": {}, "m": {"type": int}, "k": {"type": int},
+        "arch": {"choices": ["linear", "mlp-300"]}, "method": {"choices": ["uum", "loglik"]},
+        "epochs": {"type": int},
+        "warmup": {"type": int, "help": "1/0: log-likelihood warm-up phase"},
+        "warmup_epochs": {"type": int},
+        "confidence_cache": {"type": int, "help": "1/0"},
+        "batch_size": {"type": int}, "learning_rate": {"type": float}, "seed": {"type": int},
+        "val_fraction": {"type": float}, "profile": {"choices": ["small", "large"]}, "name": {},
+    },
+    "eval": {
+        "checkpoint": {}, "data": {},
+        "fit_data": {"help": "labeled split for fitting the class matching"},
+        "fit_on_test": {"action": "store_const", "const": 1,
+                        "help": "fit the class matching on the test split itself"},
+        "task": {}, "m": {"type": int}, "k": {"type": int}, "label_column": {},
+        "obs": {"help": "bag observations for group-level accuracy"},
+        "positive_label": {"type": int}, "name": {},
+    },
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise UsageError(f"{path}: config file must hold a JSON object")
     return doc
 
 
-def _resolve(args: argparse.Namespace, config: dict, fields: list[str]) -> dict:
+def _config_value(path: str, name: str, value, flag: dict | None):
+    """A config value read as its flag reads the command line: a non-string as its
+    JSON text, through the flag's type and choices. A switch takes true/false or 1/0."""
+    if value is None or flag is None:
+        return value
+    invalid = UsageError(f"{path}: invalid value {json.dumps(value)} for config key {name!r}")
+    switch = "const" in flag
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        typed = value if switch else flag.get("type", str)(text)
+    except ValueError:
+        raise invalid from None
+    if typed not in flag.get("choices", [0, 1] if switch else [typed]):
+        raise invalid
+    return typed
+
+
+def _resolve(args: argparse.Namespace, config: dict) -> dict:
     """Merge config-file values and CLI flags; flags win when given."""
+    options = OPTIONS[args.command]
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config keys {unknown} for {args.command}; "
+                         f"known: {list(options)}")
     resolved = {}
-    for name in fields:
-        flag = getattr(args, name, None)
-        resolved[name] = flag if flag is not None else config.get(name)
+    for name, flag in options.items():
+        value = _config_value(args.config, name, config.get(name), flag)
+        given = getattr(args, name, None)
+        resolved[name] = value if given is None else given
     return resolved
 
 
@@ -97,18 +155,16 @@ def _build_task(resolved: dict) -> Task:
     k = spec.k or resolved.get("k")
     if k is None:
         raise UsageError("missing required option --k")
-    return Task(kind, m=int(m), k=int(k))
+    return Task(kind, m=m, k=k)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    fields = ["k", "d", "n", "seed", "means", "spreads", "prior", "name"]
-    resolved = _resolve(args, config, fields)
+    resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "k", "d", "n")
-    k, d, n = int(resolved["k"]), int(resolved["d"]), int(resolved["n"])
+    k, d, n = resolved["k"], resolved["d"], resolved["n"]
     if n < 1:
         raise UsageError("empty dataset requested")
-    seed = int(resolved["seed"] or 0)
+    seed = resolved["seed"] or 0
     means = resolved["means"]
     if means is None:
         # Evenly spaced directions at radius 3: separable but overlapping tails.
@@ -139,12 +195,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    fields = ["data", "task", "m", "k", "n_groups", "seed", "positive_label", "label_column", "name"]
-    resolved = _resolve(args, config, fields)
+    resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "data", "n_groups")
     task = _build_task(resolved)
-    n_groups = int(resolved["n_groups"])
+    n_groups = resolved["n_groups"]
     if n_groups < 1:
         raise UsageError("--n-groups must be >= 1")
     dataset = data_mod.load_csv(resolved["data"], label_column=resolved["label_column"] or "label")
@@ -153,7 +207,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         task,
         m=task.m,
         n_groups=n_groups,
-        seed=int(resolved["seed"] or 0),
+        seed=resolved["seed"] or 0,
         positive_label=resolved["positive_label"],
     )
     out = _out_dir(args.out_dir)
@@ -171,12 +225,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    fields = [
-        "obs", "task", "m", "k", "arch", "method", "epochs", "warmup", "warmup_epochs",
-        "confidence_cache", "batch_size", "learning_rate", "seed", "val_fraction", "profile", "name",
-    ]
-    resolved = _resolve(args, config, fields)
+    resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "obs")
     observations = data_mod.load_observations(resolved["obs"])
     if resolved.get("task") is None:
@@ -196,19 +245,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
     d = observations[0].xs.shape[1]
-    seed = int(resolved["seed"] or 0)
+    seed = resolved["seed"] or 0
 
     profile = resolved["profile"] or "small"
     warmup, warmup_epochs, confidence_cache = default_flags(task, profile)
     # profile epoch budgets pair with the warm-up lengths above
-    epochs = int(resolved["epochs"] if resolved["epochs"] is not None else (200 if profile == "small" else 100))
+    epochs = resolved["epochs"] if resolved["epochs"] is not None else (200 if profile == "small" else 100)
     method = resolved["method"] or "uum"
-    if method not in ("uum", "loglik"):
-        raise UsageError("method must be 'uum' or 'loglik'")
     if resolved["warmup"] is not None:
         warmup = bool(resolved["warmup"])
     if resolved["warmup_epochs"] is not None:
-        warmup_epochs = int(resolved["warmup_epochs"])
+        warmup_epochs = resolved["warmup_epochs"]
     if resolved["confidence_cache"] is not None:
         confidence_cache = bool(resolved["confidence_cache"])
     if method == "loglik":
@@ -216,8 +263,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         warmup, warmup_epochs = True, epochs
     warmup_epochs = min(warmup_epochs, epochs)
 
-    casts = {"batch_size": int, "val_fraction": float}  # options not given keep TrainConfig's defaults
-    given = {f: cast(resolved[f]) for f, cast in casts.items() if resolved[f] is not None}
+    # options not given keep TrainConfig's defaults
+    given = {f: resolved[f] for f in ("batch_size", "val_fraction") if resolved[f] is not None}
     train_config = TrainConfig(
         epochs=epochs,
         warmup=warmup,
@@ -263,10 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    fields = ["checkpoint", "data", "fit_data", "fit_on_test", "task", "m", "k",
-              "label_column", "obs", "positive_label", "name"]
-    resolved = _resolve(args, config, fields)
+    resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "checkpoint", "data", "task")
     model, checkpoint = load_checkpoint(resolved["checkpoint"])
     checkpoint_names = checkpoint.get("label_names")
@@ -358,72 +402,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (or $AGGLEARN_OUT_DIR)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="agglearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic mixture dataset")
-    _add_common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--name")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("aggregate", help="sample aggregate observations from a dataset")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--task", choices=list(TASKS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-groups", dest="n_groups", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--positive-label", dest="positive_label", type=int)
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--name")
-    p.set_defaults(func=cmd_aggregate)
-
-    p = sub.add_parser("train", help="train a classifier on aggregate observations")
-    _add_common(p)
-    p.add_argument("--obs")
-    p.add_argument("--task")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--arch", choices=["linear", "mlp-300"])
-    p.add_argument("--method", choices=["uum", "loglik"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=int, help="1/0: log-likelihood warm-up phase")
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--confidence-cache", dest="confidence_cache", type=int, help="1/0")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--profile", choices=["small", "large"])
-    p.add_argument("--name")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on labeled data")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--fit-data", dest="fit_data", help="labeled split for fitting the class matching")
-    p.add_argument("--fit-on-test", dest="fit_on_test", action="store_const", const=1,
-                   help="fit the class matching on the test split itself")
-    p.add_argument("--task")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--obs", help="bag observations for group-level accuracy")
-    p.add_argument("--positive-label", dest="positive_label", type=int)
-    p.add_argument("--name")
-    p.set_defaults(func=cmd_eval)
+    for command, func, summary in (
+        ("synth", cmd_synth, "generate a synthetic mixture dataset"),
+        ("aggregate", cmd_aggregate, "sample aggregate observations from a dataset"),
+        ("train", cmd_train, "train a classifier on aggregate observations"),
+        ("eval", cmd_eval, "evaluate a checkpoint on labeled data"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out-dir", dest="out_dir", help="output directory (or $AGGLEARN_OUT_DIR)")
+        for name, flag in OPTIONS[command].items():
+            if flag is not None:
+                p.add_argument("--" + name.replace("_", "-"), dest=name, **flag)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")

@@ -155,7 +155,7 @@ class Classifier:
     def forward(self, x) -> np.ndarray:
         """Logits (n, out_dim) or (G, m, out_dim); a vector input gives (out_dim,)."""
         single = np.asarray(x).ndim == 1
-        logits, _ = self.forward_cached(self._check_input(np.asarray(x)))
+        logits, _ = self.forward_cached(x)
         return logits[0] if single else logits
 
     def forward_cached(self, x: np.ndarray):

@@ -304,7 +304,7 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     if etas.ndim != 2:
         raise ValueError("etas must be (m, k)")
     task.check_group_size(etas.shape[0])
-    if np.any(np.abs(etas.sum(axis=1) - 1.0) > 1e-6):
+    if not np.all(np.abs(etas.sum(axis=1) - 1.0) <= 1e-6):  # NaN fails every comparison
         raise ValueError("each probability row must sum to 1")
     spec = task.spec
     return spec.posterior(etas, spec.parse_z(z, *etas.shape))

@@ -94,7 +94,7 @@ class TaskSpec:
 TASKS: dict[str, TaskSpec] = {
     "pairwise": TaskSpec(
         g=lambda y, k: [y[0] == y[1]],
-        posterior=lambda etas, z: kernels.posterior_pairwise(*etas, z),
+        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.pairwise_event(kernels._clamp_probs(etas))),
         pz=kernels.stacked_indicator(kernels.pairwise_event, 1),
         m=2,
         min_k=2,
@@ -103,7 +103,7 @@ TASKS: dict[str, TaskSpec] = {
     "triplet": TaskSpec(
         # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
         g=lambda y, k: [(y[0] == y[1]) & (y[0] != y[2])],
-        posterior=lambda etas, z: kernels.posterior_triplet(*etas, z),
+        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.triplet_event(kernels._clamp_probs(etas))),
         pz=kernels.stacked_indicator(kernels.triplet_event, 1),
         m=3,
         min_k=2,
@@ -129,14 +129,14 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "rank": TaskSpec(
         g=lambda y, k: [y[0] < y[1]],
-        posterior=lambda etas, z: kernels.posterior_rank(*kernels.cumulative_rows(etas), z),
+        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.rank_event(kernels.cumulative_rows(etas))),
         pz=kernels.stacked_indicator(lambda etas: kernels.rank_event(kernels.cumulative_rows(etas)), 1),
         m=2,
         head="cumulative",
     ),
     "ordinal_triplet": TaskSpec(
         g=lambda y, k: [abs(y[0] - y[1]) < abs(y[0] - y[2])],
-        posterior=lambda etas, z: kernels.posterior_ordinal_triplet(*kernels.cumulative_rows(etas), z),
+        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.ordinal_triplet_event(kernels.cumulative_rows(etas))),
         pz=kernels.stacked_indicator(lambda etas: kernels.ordinal_triplet_event(kernels.cumulative_rows(etas)), 1),
         m=3,
         head="cumulative",

@@ -159,6 +159,10 @@ def _check_observations(task: Task, observations: list[GroupObservation]) -> Non
             raise ValueError(f"observation for task {obs.task_kind!r} under task {task.kind!r}")
         task.check_group_size(obs.m)
         task.spec.parse_z(obs.z, obs.m, task.k)
+    finite = np.isfinite(np.concatenate([obs.xs.ravel() for obs in observations]))  # one vectorized pass
+    if not finite.all():
+        group = np.searchsorted(np.cumsum([obs.xs.size for obs in observations]), np.argmin(finite), side="right")
+        raise ValueError(f"observation {group} has a non-finite feature value")
 
 
 def train(

@@ -232,3 +232,53 @@ class TestEnvironmentAndBudget:
                     "--warmup", 1, "--warmup-epochs", 3, "--seed", 15,
                     "--out-dir", tmp_path, "--name", "smokerun"]) == 0
         assert time.perf_counter() - t0 < 30.0
+
+
+class TestConfigFile:
+    """Config keys are the flag names with underscores, typed and checked like the flags."""
+
+    @pytest.fixture()
+    def pairs(self, tmp_path, dataset_csv):
+        assert run(["aggregate", "--data", dataset_csv, "--task", "pairwise", "--k", 3,
+                    "--n-groups", 40, "--seed", 1, "--out-dir", tmp_path, "--name", "pairs"]) == 0
+        return tmp_path / "pairs.jsonl"
+
+    def train(self, tmp_path, pairs, doc, out=None):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        return config, run(["train", "--config", config, "--obs", pairs, "--k", 3, "--arch", "linear",
+                            "--epochs", 2, "--seed", 3, "--out-dir", out or tmp_path, "--name", "run"])
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"epoch": 1}, "epoch"),
+        ({"out_dir": "elsewhere"}, "out_dir"),
+        ({"confidence_cache": "false"}, "confidence_cache"),
+        ({"epochs": "abc"}, "epochs"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"arch": "cnn"}, "arch"),
+    ])
+    def test_bad_key_or_value_is_a_usage_error(self, tmp_path, pairs, capsys, doc, key):
+        config, code = self.train(tmp_path, pairs, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+        assert not (tmp_path / "run.checkpoint.json").exists()
+
+    def test_string_values_are_read_like_flags(self, tmp_path, pairs):
+        _, code = self.train(tmp_path, pairs, {"warmup": "0", "batch_size": "16"}, out=tmp_path / "config")
+        assert code == 0
+        assert run(["train", "--obs", pairs, "--k", 3, "--arch", "linear", "--epochs", 2,
+                    "--warmup", 0, "--batch-size", 16, "--seed", 3,
+                    "--out-dir", tmp_path / "flags", "--name", "run"]) == 0
+        for name in ("run.metrics.jsonl", "run.metrics.jsonl.meta.json"):  # the meta file holds the config hash
+            assert (tmp_path / "config" / name).read_text() == (tmp_path / "flags" / name).read_text()
+
+    def test_switch_takes_booleans(self, tmp_path, dataset_csv, capsys):
+        checkpoint = tmp_path / "model.checkpoint.json"
+        Classifier.create("linear", "softmax", d=2, k=3, seed=0).save(checkpoint)
+        config = tmp_path / "eval.json"
+        for value, code in ((True, 0), (False, 1), ("yes", 1)):
+            config.write_text(json.dumps({"fit_on_test": value}))
+            assert run(["eval", "--config", config, "--checkpoint", checkpoint, "--data", dataset_csv,
+                        "--task", "pairwise", "--out-dir", tmp_path, "--name", "report"]) == code
+        assert "'fit_on_test'" in capsys.readouterr().err
