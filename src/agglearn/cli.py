@@ -69,9 +69,9 @@ OPTIONS: dict[str, dict[str, dict | None]] = {
         "obs": {}, "task": {}, "m": {"type": int}, "k": {"type": int},
         "arch": {"choices": ["linear", "mlp-300"]}, "method": {"choices": ["uum", "loglik"]},
         "epochs": {"type": int},
-        "warmup": {"type": int, "help": "1/0: log-likelihood warm-up phase"},
+        "warmup": {"type": int, "choices": [0, 1], "help": "log-likelihood warm-up phase"},
         "warmup_epochs": {"type": int},
-        "confidence_cache": {"type": int, "help": "1/0"},
+        "confidence_cache": {"type": int, "choices": [0, 1]},
         "batch_size": {"type": int}, "learning_rate": {"type": float}, "seed": {"type": int},
         "val_fraction": {"type": float}, "profile": {"choices": ["small", "large"]}, "name": {},
     },
@@ -91,7 +91,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: config file must hold a JSON object")
     return doc
@@ -165,6 +168,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if n < 1:
         raise UsageError("empty dataset requested")
     seed = resolved["seed"] or 0
+    for key, shape in (("means", (k, d)), ("spreads", (k,)), ("prior", (k,))):
+        try:
+            ok = resolved[key] is None or np.asarray(resolved[key], dtype=np.float64).shape == shape
+        except (TypeError, ValueError):  # ragged or non-numeric
+            ok = False
+        if not ok:
+            raise UsageError(f"{args.config}: config key {key!r} must be numbers of shape {shape}")
     means = resolved["means"]
     if means is None:
         # Evenly spaced directions at radius 3: separable but overlapping tails.

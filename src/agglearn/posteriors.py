@@ -21,10 +21,10 @@ suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells;
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
 only, in a ``*_event`` function over leading group axes that returns
-(marginals, p, joint). ``_indicator`` derives the other event for one group,
-p(z') = 1 - pz and joint' = eta - joint, and ``stacked_indicator`` derives
-p(z) alone for a (G, m, k) stack. The comparison and order kernels compute
-z = 1; the bag kernel computes z = 0, the all-negative product.
+(marginals, p, joint). ``indicator(event, side)`` derives the other event,
+p(z') = 1 - p and joint' = marginals - joint, for one group's posterior and
+for p(z) alone over a (G, m, k) stack. The comparison and order kernels
+compute z = 1; the bag kernel computes z = 0, the all-negative product.
 
 Ordinal tasks (rank, ordinal_triplet) are parameterized by cumulative
 probabilities cum[j] = p(y <= j) with the sentinels cum[0] = 0 and
@@ -94,37 +94,32 @@ def cumulative_rows(etas) -> np.ndarray:
     return to_cumulative(rows / rows.sum(axis=-1, keepdims=True))
 
 
-def _check_cumulative(cum) -> np.ndarray:
-    cum = np.asarray(cum, dtype=np.float64)
-    if cum.ndim != 1 or cum.shape[0] < 2:
-        raise ValueError("cumulative vector must be 1-D of length k+1")
+def _check_cumulative(cums) -> np.ndarray:
+    """A group's cumulative vectors, each checked, stacked as (m, k+1)."""
+    cum = np.asarray(cums, dtype=np.float64)
+    if cum.ndim != 2 or cum.shape[1] < 2:
+        raise ValueError("each cumulative vector must be 1-D of length k+1")
     if np.any(np.diff(cum) < -1e-9):
         raise ValueError("cumulative probabilities must be nondecreasing")
-    if abs(cum[0]) > 1e-9 or abs(cum[-1] - 1.0) > 1e-9:
+    if np.any(np.abs(cum[:, 0]) > 1e-9) or np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
         raise ValueError("cumulative vector must start at 0 and end at 1")
     return cum
 
 
-def _indicator(z: int, side: int, etas: np.ndarray, pz, joint: np.ndarray) -> GroupPosterior:
-    """Posterior of a 0/1 label from a kernel's own event z = ``side``.
+def indicator(event, side: int, rows=_clamp_probs) -> dict:
+    """A 0/1 kind's registry pair {"posterior", "pz"} from ``event(rows(etas))``, the (marginals,
+    p, joint) of z = ``side``; z = 1 - side has 1 - p and marginals - joint (``pz`` skips the joint)."""
+    def posterior(etas, z) -> GroupPosterior:
+        if z not in (0, 1):
+            raise ValueError(f"a 0/1 aggregate label must be 0 or 1, got {z!r}")
+        marginals, pz, joint = event(rows(etas))
+        return _finish(pz, joint) if z == side else _finish(1.0 - pz, marginals - joint)
 
-    z = 0 and z = 1 split the label tuples between them, so the other
-    event has p = 1 - pz and joint = etas - joint, where ``etas`` is the
-    (m, k) per-class marginal the kernel computed its event from.
-    """
-    if z not in (0, 1):
-        raise ValueError(f"a 0/1 aggregate label must be 0 or 1, got {z!r}")
-    if z == side:
-        return _finish(pz, joint)
-    return _finish(1.0 - pz, etas - joint)
-
-
-def stacked_indicator(event, side: int):
-    """p(z | group) of 0/1 labels for stacked groups (G, m, k) from a kernel's own event."""
     def pz(etas, zs) -> np.ndarray:
-        own = event(_clamp_probs(etas))[1]
+        own = event(rows(etas))[1]
         return np.maximum(np.where(np.asarray(zs) == side, own, 1.0 - own), 0.0)
-    return pz
+
+    return {"posterior": posterior, "pz": pz}
 
 
 def pairwise_event(etas):
@@ -138,7 +133,7 @@ def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
     per-class agreement products.
     """
-    return _indicator(z, 1, *pairwise_event(_clamp_probs([eta1, eta2])))
+    return indicator(pairwise_event, 1)["posterior"]([eta1, eta2], z)
 
 
 def triplet_event(etas):
@@ -151,7 +146,7 @@ def triplet_event(etas):
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    return _indicator(z, 1, *triplet_event(_clamp_probs([eta1, eta2, eta3])))
+    return indicator(triplet_event, 1)["posterior"]([eta1, eta2, eta3], z)
 
 
 def mil_event(etas):
@@ -168,10 +163,9 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     forces every instance negative, so p(z=0) is the product of the
     negative probabilities and every z=0 joint row is (p(z=0), 0).
     """
-    etas = _clamp_probs(etas)
-    if etas.ndim != 2 or etas.shape[1] != 2:
+    if np.ndim(etas) != 2 or np.shape(etas)[1] != 2:
         raise ValueError("MIL expects (m, 2) probabilities over classes {0, 1}")
-    return _indicator(z, 0, *mil_event(etas))
+    return indicator(mil_event, 0)["posterior"](etas, z)
 
 
 def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
@@ -258,7 +252,7 @@ def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
     Inputs are cumulative vectors (k+1,). p(z=1) accumulates, over the
     value j of y2, the chance that y1 lands strictly below j.
     """
-    return _indicator(z, 1, *rank_event(np.stack([_check_cumulative(cum1), _check_cumulative(cum2)])))
+    return indicator(rank_event, 1, _check_cumulative)["posterior"]([cum1, cum2], z)
 
 
 def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
@@ -290,7 +284,7 @@ def ordinal_triplet_event(cum):
 
 def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
     """Comparison indicator with ordinal distance, m=3: z = 1 iff |y1-y2| < |y1-y3|."""
-    return _indicator(z, 1, *ordinal_triplet_event(np.stack([_check_cumulative(c) for c in (cum1, cum2, cum3)])))
+    return indicator(ordinal_triplet_event, 1, _check_cumulative)["posterior"]([cum1, cum2, cum3], z)
 
 
 def group_posterior(task: Task, etas, z) -> GroupPosterior:
@@ -304,6 +298,8 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     if etas.ndim != 2:
         raise ValueError("etas must be (m, k)")
     task.check_group_size(etas.shape[0])
+    if etas.shape[1] != task.k:
+        raise ValueError(f"got {etas.shape[1]} classes for a task with {task.k}")
     if not np.all(np.abs(etas.sum(axis=1) - 1.0) <= 1e-6):  # NaN fails every comparison
         raise ValueError("each probability row must sum to 1")
     spec = task.spec

@@ -94,8 +94,7 @@ class TaskSpec:
 TASKS: dict[str, TaskSpec] = {
     "pairwise": TaskSpec(
         g=lambda y, k: [y[0] == y[1]],
-        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.pairwise_event(kernels._clamp_probs(etas))),
-        pz=kernels.stacked_indicator(kernels.pairwise_event, 1),
+        **kernels.indicator(kernels.pairwise_event, 1),
         m=2,
         min_k=2,
         identifiable=False,
@@ -103,8 +102,7 @@ TASKS: dict[str, TaskSpec] = {
     "triplet": TaskSpec(
         # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
         g=lambda y, k: [(y[0] == y[1]) & (y[0] != y[2])],
-        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.triplet_event(kernels._clamp_probs(etas))),
-        pz=kernels.stacked_indicator(kernels.triplet_event, 1),
+        **kernels.indicator(kernels.triplet_event, 1),
         m=3,
         min_k=2,
         identifiable=False,
@@ -118,8 +116,7 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "mil": TaskSpec(
         g=lambda y, k: [functools.reduce(np.maximum, y)],
-        posterior=kernels.posterior_mil,
-        pz=kernels.stacked_indicator(kernels.mil_event, 0),
+        **kernels.indicator(kernels.mil_event, 0),
         k=2,
         first_label=0,
         head="sigmoid",
@@ -129,15 +126,13 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "rank": TaskSpec(
         g=lambda y, k: [y[0] < y[1]],
-        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.rank_event(kernels.cumulative_rows(etas))),
-        pz=kernels.stacked_indicator(lambda etas: kernels.rank_event(kernels.cumulative_rows(etas)), 1),
+        **kernels.indicator(kernels.rank_event, 1, kernels.cumulative_rows),
         m=2,
         head="cumulative",
     ),
     "ordinal_triplet": TaskSpec(
         g=lambda y, k: [abs(y[0] - y[1]) < abs(y[0] - y[2])],
-        posterior=lambda etas, z: kernels._indicator(z, 1, *kernels.ordinal_triplet_event(kernels.cumulative_rows(etas))),
-        pz=kernels.stacked_indicator(lambda etas: kernels.ordinal_triplet_event(kernels.cumulative_rows(etas)), 1),
+        **kernels.indicator(kernels.ordinal_triplet_event, 1, kernels.cumulative_rows),
         m=3,
         head="cumulative",
     ),

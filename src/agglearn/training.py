@@ -31,7 +31,7 @@ in a fixed group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,16 +72,7 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in [0, 1)")
 
     def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "warmup": self.warmup,
-            "warmup_epochs": self.warmup_epochs,
-            "confidence_cache": self.confidence_cache,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "val_fraction": self.val_fraction,
-        }
+        return asdict(self)
 
 
 def default_flags(task: Task, profile: str = "small") -> tuple[bool, int, bool]:
@@ -113,13 +104,7 @@ class EpochRecord:
     degenerate_groups: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_metric": self.val_metric,
-            "likelihood": self.likelihood,
-            "degenerate_groups": self.degenerate_groups,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -181,6 +166,8 @@ def train(
     each confidence-cache refresh.
     """
     _check_observations(task, observations)
+    if model.k != task.k:
+        raise ValueError(f"model has {model.k} classes for a task with {task.k}")
 
     seed_split, seed_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng_split = np.random.Generator(np.random.Philox(seed_split))

@@ -282,3 +282,41 @@ class TestConfigFile:
             assert run(["eval", "--config", config, "--checkpoint", checkpoint, "--data", dataset_csv,
                         "--task", "pairwise", "--out-dir", tmp_path, "--name", "report"]) == code
         assert "'fit_on_test'" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{bad")
+        assert run(["synth", "--config", config, "--k", 2, "--d", 2, "--n", 5, "--out-dir", tmp_path]) == 1
+        assert str(config) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"prior": 5}, "prior"),
+        ({"spreads": [1]}, "spreads"),
+        ({"means": [[1, 2], [3]]}, "means"),
+        ({"means": [[1, 2], ["a", 4]]}, "means"),
+    ])
+    def test_synth_array_of_the_wrong_shape_names_the_key(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(doc))
+        assert run(["synth", "--config", config, "--k", 2, "--d", 2, "--n", 5, "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--warmup", "--confidence-cache"])
+    @pytest.mark.parametrize("value", [7, -1])
+    def test_switch_flag_takes_only_0_or_1(self, tmp_path, pairs, capsys, flag, value):
+        with pytest.raises(SystemExit):
+            run(["train", "--obs", pairs, "--k", 3, "--arch", "linear", "--epochs", 2,
+                 flag, value, "--out-dir", tmp_path, "--name", "run"])
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "run.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("key", ["warmup", "confidence_cache"])
+    @pytest.mark.parametrize("value", [7, -1, "2"])
+    def test_switch_config_key_takes_only_0_or_1(self, tmp_path, pairs, capsys, key, value):
+        config, code = self.train(tmp_path, pairs, {key: value})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+        assert not (tmp_path / "run.checkpoint.json").exists()
