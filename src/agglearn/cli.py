@@ -102,9 +102,11 @@ def _load_config(path: str | None) -> dict:
 
 def _config_value(path: str, name: str, value, flag: dict | None):
     """A config value read as its flag reads the command line: a non-string as its
-    JSON text, through the flag's type and choices. A switch takes true/false or 1/0."""
+    JSON text, through the flag's type and choices. A 0/1 option takes true/false or 1/0."""
     if value is None or flag is None:
         return value
+    if isinstance(value, bool) and flag.get("choices") == [0, 1]:
+        value = int(value)
     invalid = UsageError(f"{path}: invalid value {json.dumps(value)} for config key {name!r}")
     switch = "const" in flag
     text = value if isinstance(value, str) else json.dumps(value)
@@ -167,6 +169,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     k, d, n = resolved["k"], resolved["d"], resolved["n"]
     if n < 1:
         raise UsageError("empty dataset requested")
+    if min(k, d) < 1:
+        raise UsageError(f"--{'k' if k < 1 else 'd'} must be >= 1")
     seed = resolved["seed"] or 0
     for key, shape in (("means", (k, d)), ("spreads", (k,)), ("prior", (k,))):
         try:

@@ -16,7 +16,8 @@ sums over every label tuple consistent with z and acts as the reference
 implementation for all of them. The label-proportion form is a dense
 dynamic program over the count box: one array holds a whole sweep, the
 suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells;
-``pz_llp`` runs the prefix sweep alone.
+``pz_llp`` runs the prefix sweep alone. A bag's z is fixed, so each z's box
+plan is built once into a read-only cache of ``LLP_PLAN_CACHE_BYTES`` at most.
 
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,6 +56,10 @@ PZ_FLOOR = PROB_EPS
 # int32 neighbour table and two float64 mass arrays over the count box. One
 # call at the bound peaks at 375 MB in tracemalloc (7.5 bytes per cell, k = 2).
 MAX_LLP_BOX = 5 * 10**7
+# Bound on the bytes of the down tables _llp_plan keeps in _LLP_PLANS, least recently used first.
+LLP_PLAN_CACHE_BYTES = 2**25
+_LLP_PLANS: dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]] = {}
+_LLP_PLANS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -168,17 +174,17 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     return indicator(mil_event, 0)["posterior"](etas, z)
 
 
-def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """Number the count box prod_j [0, z_j] by level |c| = sum_j c_j, then C order.
 
-    Level L is cells starts[L]:starts[L + 1]. The int32 table down[j, p] numbers
+    Level L is cells starts[L]:starts[L + 1]. The read-only int32 table down[j, p] numbers
     cell c - e_j of cell p = c, or is the zero sentinel ``volume`` when c_j = 0.
     """
     shape = tuple(c + 1 for c in z)
     volume = math.prod(shape)
     level = functools.reduce(np.add.outer, [np.arange(n, dtype=np.min_scalar_type(sum(z))) for n in shape])
     order = np.argsort(level, axis=None, kind="stable")  # C-order index of each numbered cell
-    starts = [0, *np.cumsum(np.bincount(level.ravel())).tolist()]
+    starts = (0, *np.cumsum(np.bincount(level.ravel())).tolist())
     numbers = np.empty(shape, dtype=np.int32)
     np.put(numbers, order, np.arange(volume, dtype=np.int32))
     down = np.empty((len(z), volume), dtype=np.int32)
@@ -187,7 +193,21 @@ def _level_order(z: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
         lower.fill(volume)
         lower[(slice(None),) * axis + (slice(1, None),)] = numbers[(slice(None),) * axis + (slice(-1),)]
         down[axis] = lower.ravel()[order]
+    down.flags.writeable = False
     return starts, down
+
+
+def _llp_plan(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    with _LLP_PLANS_LOCK:
+        if z in _LLP_PLANS:  # a hit becomes the most recently used
+            _LLP_PLANS[z] = _LLP_PLANS.pop(z)
+            return _LLP_PLANS[z]
+        plan = _level_order(z)
+        if plan[1].nbytes <= LLP_PLAN_CACHE_BYTES:  # a larger plan serves this call only
+            _LLP_PLANS[z] = plan
+            while sum(down.nbytes for _, down in _LLP_PLANS.values()) > LLP_PLAN_CACHE_BYTES:
+                del _LLP_PLANS[next(iter(_LLP_PLANS))]
+        return plan
 
 
 def _llp_prefix(etas: np.ndarray, z: tuple[int, ...]):
@@ -204,10 +224,11 @@ def _llp_prefix(etas: np.ndarray, z: tuple[int, ...]):
     if (k + 2) * volume > MAX_LLP_BOX:
         raise ValueError(f"llp count box of volume {volume} needs {(k + 2) * volume} cells, over {MAX_LLP_BOX}")
 
-    starts, down = _level_order(z)
-    mass = np.r_[1.0, np.zeros(volume)]  # 1 at the empty count vector; index ``volume`` is the zero sentinel
+    starts, down = _llp_plan(z)
+    mass = np.zeros(volume + 1)  # index ``volume`` is the zero sentinel
+    mass[0] = 1.0  # the empty count vector
     for eta, lo, hi in zip(etas, starts[1:-1], starts[2:]):
-        mass[lo:hi] = eta @ mass[down[:, lo:hi]]
+        mass[lo:hi] = eta @ mass.take(down[:, lo:hi])
     return starts, down, mass
 
 
@@ -228,7 +249,7 @@ def posterior_llp(etas, z) -> GroupPosterior:
     prefix = mass[volume - 1 :: -1].copy()
     joint = np.empty(etas.shape)
     for i, lo, hi in zip(range(len(etas) - 1, -1, -1), starts[1:-1], starts[2:]):
-        rest = mass[down[:, lo:hi]]  # rest[j, q] = suffix[q - e_j]
+        rest = mass.take(down[:, lo:hi])  # rest[j, q] = suffix[q - e_j]
         mass[lo:hi] = etas[i] @ rest
         joint[i] = rest @ prefix[lo:hi]
     return _finish(prefix[0], etas * joint)

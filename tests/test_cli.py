@@ -41,6 +41,23 @@ class TestSynth:
         meta = json.loads((dataset_csv.parent / "train.csv.meta.json").read_text())
         assert len(meta["config_hash"]) == 64
 
+    @pytest.mark.parametrize("key", ["k", "d"])
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_zero_classes_or_features_is_a_usage_error(self, tmp_path, capsys, key, value, via_config):
+        options = {"k": 2, "d": 2, "n": 5, key: value}
+        argv = ["synth", "--out-dir", tmp_path]
+        if via_config:
+            config = tmp_path / "synth.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", config]
+            options.pop(key)
+        for name, given in options.items():
+            argv += ["--" + name, given]
+        assert run(argv) == 1
+        assert f"--{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
 
 class TestPipeline:
     def test_full_round(self, tmp_path, dataset_csv):
@@ -316,6 +333,28 @@ class TestConfigFile:
     @pytest.mark.parametrize("value", [7, -1, "2"])
     def test_switch_config_key_takes_only_0_or_1(self, tmp_path, pairs, capsys, key, value):
         config, code = self.train(tmp_path, pairs, {key: value})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+        assert not (tmp_path / "run.checkpoint.json").exists()
+
+    def test_0_1_config_keys_read_booleans_as_1_and_0(self, tmp_path, pairs):
+        for name, doc in (("bools", {"warmup": True, "confidence_cache": False}),
+                          ("ints", {"warmup": 1, "confidence_cache": 0})):
+            _, code = self.train(tmp_path, pairs, doc, out=tmp_path / name)
+            assert code == 0
+        for name in ("run.metrics.jsonl", "run.metrics.jsonl.meta.json"):  # the meta file holds the config hash
+            assert (tmp_path / "bools" / name).read_text() == (tmp_path / "ints" / name).read_text()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"warmup": 2.5}, "warmup"),
+        ({"warmup": "false"}, "warmup"),
+        ({"confidence_cache": "true"}, "confidence_cache"),
+        ({"epochs": True}, "epochs"),
+        ({"batch_size": False}, "batch_size"),
+    ])
+    def test_booleans_stay_refused_elsewhere(self, tmp_path, pairs, capsys, doc, key):
+        config, code = self.train(tmp_path, pairs, doc)
         assert code == 1
         err = capsys.readouterr().err
         assert str(config) in err and repr(key) in err
