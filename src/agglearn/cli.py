@@ -26,7 +26,7 @@ import numpy as np
 from . import data as data_mod
 from .data import SyntheticSpec
 from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
-from .models import Classifier, load_checkpoint
+from .models import Classifier, load_checkpoint, valid_label_names
 from .posteriors import brute_force_posterior, group_posterior
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
@@ -87,17 +87,19 @@ OPTIONS: dict[str, dict[str, dict | None]] = {
 }
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_object(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise UsageError(f"{path}: config file must hold a JSON object")
+        raise UsageError(f"{path}: {what} must hold a JSON object")
     return doc
+
+
+def _load_config(path: str | None) -> dict:
+    return _read_object(path, "config file") if path else {}
 
 
 def _config_value(path: str, name: str, value, flag: dict | None):
@@ -256,6 +258,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"{resolved['obs']}: count vectors have {len(observations[0].z)} entries, not k={task.k}"
         )
 
+    # class identities travel with the pipeline: the sampling step records
+    # the source CSV's label-name order, and the checkpoint carries it on
+    # to evaluation
+    label_names = None
+    obs_meta = str(resolved["obs"]) + ".meta.json"
+    if os.path.exists(obs_meta):
+        label_names = _read_object(obs_meta, "observation meta file").get("label_names")
+        if not valid_label_names(label_names):
+            raise UsageError(f"{obs_meta}: label_names must be null or a list of strings")
+
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
     d = observations[0].xs.shape[1]
@@ -294,15 +306,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model = Classifier.create(arch, head, d=d, k=task.k, seed=seed)
     result = train(observations, task, model, train_config)
-
-    # class identities travel with the pipeline: the sampling step records
-    # the source CSV's label-name order, and the checkpoint carries it on
-    # to evaluation
-    label_names = None
-    obs_meta = str(resolved["obs"]) + ".meta.json"
-    if os.path.exists(obs_meta):
-        with open(obs_meta, "r", encoding="utf-8") as fh:
-            label_names = json.load(fh).get("label_names")
 
     out = _out_dir(args.out_dir)
     name = resolved["name"] or f"{task.kind}_{method}"

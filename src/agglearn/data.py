@@ -150,36 +150,43 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
-    """Load a CSV dataset, re-indexing labels to 1..k in first-appearance order."""
+    """Load a CSV dataset, re-indexing labels to 1..k in first-appearance order. A bad
+    file raises ValueError naming ``path``, and ``path:line`` for a bad row."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty dataset")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"label column {label_column!r} not in header {header}") from None
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        features = []
-        raw_labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {line_no} has {len(row)} fields, header has {len(header)}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty dataset")
             try:
-                values = [float(row[i]) for i in feature_idx]
-            except ValueError as exc:
-                raise ValueError(f"non-numeric feature on line {line_no}: {exc}") from None
-            if any(not np.isfinite(v) for v in values):
-                raise ValueError(f"non-numeric feature on line {line_no}: non-finite value")
-            features.append(values)
-            raw_labels.append(row[label_idx])
+                label_idx = header.index(label_column)
+            except ValueError:
+                raise ValueError(f"{path}: label column {label_column!r} not in header {header}") from None
+            feature_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feature_idx:
+                raise ValueError(f"{path}: header {header} has no feature column")
+            features = []
+            raw_labels = []
+            for row in reader:
+                line_no = reader.line_num  # the physical line, also after a quoted line break
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{line_no}: row has {len(row)} fields, header has {len(header)}")
+                try:
+                    values = [float(row[i]) for i in feature_idx]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: non-numeric feature: {exc}") from None
+                if any(not np.isfinite(v) for v in values):
+                    raise ValueError(f"{path}:{line_no}: non-numeric feature: non-finite value")
+                features.append(values)
+                raw_labels.append(row[label_idx])
+    except UnicodeDecodeError as exc:  # a ValueError that would not name the file
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not features:
-        raise ValueError("empty dataset")
+        raise ValueError(f"{path}: empty dataset")
     names: list[str] = []
     index = {}
     labels = []

@@ -236,6 +236,11 @@ class Classifier:
         return load_checkpoint(path)[0]
 
 
+def valid_label_names(names) -> bool:
+    """Whether ``names`` is a class-name order as the pipeline records it: None or a list of strings."""
+    return names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)
+
+
 def load_checkpoint(path) -> tuple[Classifier, dict]:
     """The classifier at ``path`` and its whole document (extra keys such as
     ``label_names``); a malformed one raises ValueError naming the path."""
@@ -244,6 +249,8 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
             doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA:
             raise ValueError(f"not a JSON object of checkpoint schema {CHECKPOINT_SCHEMA}")
+        if not valid_label_names(doc.get("label_names")):
+            raise ValueError("label_names must be null or a list of strings")
         layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
         return Classifier(doc["arch"], doc["head"], doc["d"], doc["k"], layers), doc
     except KeyError as exc:

@@ -5,18 +5,19 @@ The loop alternates, per epoch, over shuffled groups:
 1. During the optional warm-up phase (``warmup`` and epoch <= ``warmup_epochs``)
    every update maximizes the group log-likelihood directly; no importance
    weights are involved.
-2. Afterwards each minibatch first obtains per-instance class
-   probabilities -- either from the cached confidence tensor C
-   (``confidence_cache``) or from the current model with gradients
-   detached -- turns them into posterior weights, and takes an
+2. Afterwards each minibatch turns its groups' eta rows (per-instance
+   class probabilities) into posterior weights and takes an
    importance-weighted loss step.
-3. Whenever the confidence cache is enabled, the minibatch's rows of C are
-   refreshed from the model right after its update, so entries are stale
-   by design: they hold the probabilities from whenever their group last
-   appeared in a minibatch (uniform 1/k before that).
+3. The eta rows live in one (N, k) array with one row per training
+   instance, so groups of any size share it. With ``confidence_cache`` off
+   a batch's rows are refreshed from the current model (gradients
+   detached) right before its weights; with it on they are refreshed right
+   after its update, so entries are stale by design: they hold the
+   probabilities from whenever their group last appeared in a minibatch
+   (uniform 1/k before that).
 
-Weights are always recomputed from whichever probability source is active;
-only the eta source changes with ``confidence_cache``.
+Weights are always recomputed from the eta rows; ``confidence_cache``
+only picks when a batch's rows refresh.
 
 Validation: a held-out fraction of the observations is scored by mean
 group log-likelihood each epoch (aggregate observations carry no instance
@@ -109,6 +110,10 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
+    """The best-validation model and the epoch records. ``confidence`` holds the cached
+    eta rows (None with the cache off): an (n, m, k) view when every training group
+    has m instances, else the flat (N, k) rows, groups in training-split order."""
+
     model: Classifier
     metrics: list[EpochRecord]
     best_epoch: int
@@ -130,10 +135,12 @@ def observed_likelihood(task: Task, observations: list[GroupObservation], model:
     return total
 
 
-def _predict_groups(model: Classifier, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-class probabilities (m, k) of each group in ``xs``, from stacked forwards."""
-    probs = {i: etas for idx, stack in model.group_stacks(xs) for i, etas in zip(idx, model.predict_proba(stack))}
-    return [probs[i] for i in range(len(xs))]
+def _refresh(model: Classifier, rows: list[np.ndarray], observations: list[GroupObservation], batch_idx) -> None:
+    """Overwrite the eta rows of the groups in ``batch_idx`` with the model's
+    per-class probabilities, one stacked forward per chunk of equal sizes."""
+    for idx, stack in model.group_stacks([observations[gi].xs for gi in batch_idx]):
+        for i, etas in zip(idx, model.predict_proba(stack)):
+            rows[batch_idx[i]][...] = etas
 
 
 def _check_observations(task: Task, observations: list[GroupObservation]) -> None:
@@ -163,7 +170,8 @@ def train(
     exists for diagnostics/tests: ``{"phase": "weights", "epoch", "batch",
     "indices", "etas", "weights"}`` right before each weighted update, and
     ``{"phase": "refresh", "epoch", "batch", "indices", "values"}`` after
-    each confidence-cache refresh.
+    each confidence-cache refresh; ``etas``, ``weights`` and ``values`` are
+    lists of one (m, k) array per group.
     """
     _check_observations(task, observations)
     if model.k != task.k:
@@ -181,12 +189,10 @@ def train(
     train_obs = [observations[i] for i in order[n_val:]]
     n_train = len(train_obs)
 
-    confidence = None
-    if config.confidence_cache:
-        sizes = {obs.m for obs in train_obs}
-        if len(sizes) > 1:
-            raise ValueError("the confidence cache requires a uniform group size")
-        confidence = np.full((n_train, sizes.pop(), task.k), 1.0 / task.k)
+    # one eta row per training instance; rows[gi] is a view of group gi's rows
+    ends = np.cumsum([obs.m for obs in train_obs]).tolist()
+    eta = np.full((ends[-1], task.k), 1.0 / task.k)
+    rows = [eta[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
     opt = AdamState.for_model(model, config.learning_rate)
     metrics: list[EpochRecord] = []
@@ -202,30 +208,23 @@ def train(
         degenerate = 0
 
         for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
-            batch_idx = epoch_order[start : start + config.batch_size]
-            batch_xs = [train_obs[gi].xs for gi in batch_idx]
+            batch_idx = epoch_order[start : start + config.batch_size].tolist()
             if warm:
                 updates = (loglik_loss(task, train_obs[gi].xs, train_obs[gi].z, model) for gi in batch_idx)
             else:
-                usable = []  # (group, etas, weights) of each group that is not degenerate
-                sources = confidence[batch_idx] if confidence is not None else _predict_groups(model, batch_xs)
-                for gi, etas in zip(batch_idx, sources):
+                if not config.confidence_cache:
+                    _refresh(model, rows, train_obs, batch_idx)
+                usable = []  # (group, weights) of each group that is not degenerate
+                for gi in batch_idx:
                     try:
-                        usable.append((gi, etas, compute_weights(group_posterior(task, etas, train_obs[gi].z))))
+                        usable.append((gi, compute_weights(group_posterior(task, rows[gi], train_obs[gi].z))))
                     except DegenerateGroupError:
                         degenerate += 1
                 if weight_probe is not None:
-                    weight_probe(
-                        {
-                            "phase": "weights",
-                            "epoch": epoch,
-                            "batch": batch_no,
-                            "indices": [gi for gi, _, _ in usable],
-                            "etas": [e.copy() for _, e, _ in usable],
-                            "weights": [w.copy() for _, _, w in usable],
-                        }
-                    )
-                updates = (aggregate_loss(train_obs[gi].xs, w, model) for gi, _, w in usable)
+                    weight_probe({"phase": "weights", "epoch": epoch, "batch": batch_no,
+                                  "indices": [gi for gi, _ in usable], "etas": [rows[gi].copy() for gi, _ in usable],
+                                  "weights": [w.copy() for _, w in usable]})
+                updates = (aggregate_loss(train_obs[gi].xs, w, model) for gi, w in usable)
 
             # one accumulate-and-step for both phases: gradients add in group order
             grads = None
@@ -240,18 +239,12 @@ def train(
                 loss_sum += batch_loss
                 loss_groups += contributed
 
-            if confidence is not None:
-                confidence[batch_idx] = _predict_groups(model, batch_xs)
+            if config.confidence_cache:
+                _refresh(model, rows, train_obs, batch_idx)
                 if weight_probe is not None:
-                    weight_probe(
-                        {
-                            "phase": "refresh",
-                            "epoch": epoch,
-                            "batch": batch_no,
-                            "indices": [int(gi) for gi in batch_idx],
-                            "values": confidence[batch_idx].copy(),
-                        }
-                    )
+                    weight_probe({"phase": "refresh", "epoch": epoch, "batch": batch_no,
+                                  "indices": batch_idx,
+                                  "values": [rows[gi].copy() for gi in batch_idx]})
 
         if loss_groups == 0:
             raise TrainingAbortError(
@@ -278,4 +271,7 @@ def train(
             best_epoch = epoch
 
     model.load_parameters(best_params)
+    confidence = None
+    if config.confidence_cache:  # the (n, m, k) view when every group has m instances
+        confidence = eta.reshape(n_train, -1, task.k) if len({obs.m for obs in train_obs}) == 1 else eta
     return TrainResult(model=model, metrics=metrics, best_epoch=best_epoch, confidence=confidence)

@@ -16,6 +16,7 @@ MALFORMED = {
     "layer_not_an_object": lambda doc: doc.update(layers=[[1, 2]]),
     "document_not_an_object": lambda doc: [1, 2],
     "bias_not_numeric": lambda doc: doc["layers"][0].update(bias="abc"),
+    "label_names_not_a_list": lambda doc: doc.update(label_names=5),
 }
 
 

@@ -359,3 +359,37 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(config) in err and repr(key) in err
         assert not (tmp_path / "run.checkpoint.json").exists()
+
+
+class TestTrainInputs:
+    @pytest.fixture()
+    def mixed_llp(self, tmp_path):
+        """Label-proportion bags of 2, 3 and 5 instances over 2 classes."""
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            '{"xs": [[0.1, 1.2], [-0.4, 0.3]], "z": [1, 1], "task": "llp"}\n'
+            '{"xs": [[1.5, -0.2], [0.0, 0.7], [-1.1, 0.4]], "z": [2, 1], "task": "llp"}\n'
+            '{"xs": [[0.3, 0.3], [-0.9, 1.0], [1.2, -1.4], [0.6, 0.1], [-0.2, -0.8]], "z": [3, 2], "task": "llp"}\n'
+            '{"xs": [[-1.3, 0.2], [0.8, 0.9]], "z": [0, 2], "task": "llp"}\n'
+            '{"xs": [[0.4, -0.6], [1.1, 1.3], [-0.7, -0.1]], "z": [1, 2], "task": "llp"}\n'
+            '{"xs": [[0.9, 0.0], [-0.5, 0.5], [0.2, -1.0], [1.4, 0.6], [-1.2, 1.1]], "z": [2, 3], "task": "llp"}\n'
+        )
+        return path
+
+    def test_mixed_group_sizes_train_with_default_flags(self, tmp_path, mixed_llp):
+        assert run(["train", "--obs", mixed_llp, "--k", 2, "--out-dir", tmp_path, "--name", "run"]) == 0
+        assert len(read_jsonl(tmp_path / "run.metrics.jsonl")) == 200
+
+    @pytest.mark.parametrize("meta", [
+        "[1, 2]",
+        "{not json",
+        '{"label_names": 5}',
+        '{"label_names": ["a", 2]}',
+    ])
+    def test_bad_observation_meta_is_refused_before_training(self, tmp_path, mixed_llp, capsys, meta):
+        meta_path = tmp_path / "mixed.jsonl.meta.json"
+        meta_path.write_text(meta)
+        assert run(["train", "--obs", mixed_llp, "--k", 2, "--epochs", 1,
+                    "--out-dir", tmp_path / "out", "--name", "run"]) == 1
+        assert str(meta_path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -87,6 +87,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty"):
             load_csv(empty)
 
+    @pytest.mark.parametrize("text, message", [
+        (b"", ": empty dataset"),
+        (b"x0,label\n", ": empty dataset"),
+        (b"x0,label\n1.0,a\n2.0\n", ":3: row has 1 fields, header has 2"),
+        (b"x0,label\nfoo,a\n", ":2: non-numeric feature"),
+        (b'x0,label\n1.0,"a\nb"\nfoo,c\n', ":4: non-numeric feature"),
+        (b"label\na\nb\n", ": header ['label'] has no feature column"),
+        (b"x0,label\n1.0,\xff\n", ": not UTF-8 text"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value).startswith(f"{path}{message}")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "col.csv"
         path.write_text("x0,x1\n1.0,2.0\n")

@@ -4,7 +4,7 @@ import pytest
 from agglearn.data import GroupObservation, SyntheticSpec, generate_synthetic, sample_groups
 from agglearn.losses import compute_weights
 from agglearn.models import Classifier
-from agglearn.posteriors import group_posterior
+from agglearn.posteriors import brute_force_posterior, group_posterior
 from agglearn.tasks import Task
 from agglearn.training import (
     TrainConfig,
@@ -221,8 +221,48 @@ class TestTrainLoop:
         model = Classifier.create("linear", "sigmoid", d=2, k=2, seed=12)
         cfg = TrainConfig(epochs=1, warmup=False, confidence_cache=True, batch_size=5,
                           seed=13, val_fraction=0.0)
-        with pytest.raises(ValueError, match="uniform group size"):
-            train(obs, task, model, cfg)
+        result = train(obs, task, model, cfg)  # the cache keeps one eta row per instance
+        assert result.confidence.shape == (sum(o.m for o in obs), 2)
         cfg = TrainConfig(epochs=1, warmup=False, confidence_cache=False, batch_size=5,
                           seed=13, val_fraction=0.0)
         train(obs, task, model, cfg)  # runs fine without the cache
+
+
+class TestMixedGroupSizes:
+    """Groups of sizes 2, 3 and 5 in one run share the flat eta rows."""
+
+    @pytest.mark.parametrize("kind,k", [("mil", 2), ("llp", 3)])
+    def test_cached_weights_match_brute_force(self, kind, k):
+        obs = []
+        for m in (2, 3, 5):
+            _, task, groups = mixture_observations(kind, n_groups=12, seed=20 + m, k=k, m=m)
+            obs += groups
+        model = fresh_model(task)
+        split_order = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(15).spawn(2)[0])
+        ).permutation(len(obs))
+        train_obs = [obs[i] for i in split_order]  # val_fraction=0 keeps all
+        last = {}  # group -> its etas at the latest refresh
+        checked = []
+
+        def probe(event):
+            if event["phase"] == "refresh":
+                last.update(zip(event["indices"], event["values"]))
+                return
+            for gi, etas, w in zip(event["indices"], event["etas"], event["weights"]):
+                expected_etas = last.get(gi, np.full((train_obs[gi].m, k), 1.0 / k))
+                np.testing.assert_array_equal(etas, expected_etas)
+                expected = compute_weights(brute_force_posterior(task, etas, train_obs[gi].z))
+                np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-9)
+                checked.append(gi)
+
+        cfg = TrainConfig(epochs=3, warmup=False, confidence_cache=True, batch_size=7, seed=15,
+                          val_fraction=0.0)
+        result = train(obs, task, model, cfg, weight_probe=probe)
+        assert len(checked) + sum(r.degenerate_groups for r in result.metrics) == 3 * len(obs)
+        assert {o.m for o in train_obs} == {2, 3, 5}
+        # the returned flat rows are each group's values at its last refresh, in split order
+        ends = np.cumsum([o.m for o in train_obs])
+        assert result.confidence.shape == (ends[-1], k)
+        for gi, (lo, hi) in enumerate(zip(ends - [o.m for o in train_obs], ends)):
+            np.testing.assert_array_equal(result.confidence[lo:hi], last[gi])
