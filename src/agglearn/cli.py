@@ -88,11 +88,13 @@ OPTIONS: dict[str, dict[str, dict | None]] = {
 
 
 def _read_object(path: str, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: {what} must hold a JSON object")
     return doc
@@ -340,22 +342,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"(expects {task.spec.head!r})"
         )
     label_column = resolved["label_column"] or "label"
-    test = data_mod.load_csv(resolved["data"], label_column=label_column)
-    fit = data_mod.load_csv(resolved["fit_data"], label_column=label_column) if resolved["fit_data"] else None
+    splits = {key: data_mod.load_csv(resolved[key], label_column=label_column)
+              for key in ("data", "fit_data") if resolved[key]}
 
     # per-file first-appearance indexing is arbitrary; align every split to
     # one name order (training-time order when the checkpoint carries it)
-    canonical = checkpoint_names or (fit.label_names if fit is not None else test.label_names)
-    test = test.relabel_to(canonical)
-    if fit is not None:
-        fit = fit.relabel_to(canonical)
+    canonical = checkpoint_names or splits.get("fit_data", splits["data"]).label_names
+    for key, split in splits.items():
+        if split.d != model.d:
+            raise UsageError(f"{resolved[key]}: {split.d} feature columns, the checkpoint takes {model.d}")
+        try:
+            splits[key] = split.relabel_to(canonical)
+        except ValueError as exc:
+            raise UsageError(f"{resolved[key]}: {exc}") from None
+    test, fit = splits["data"], splits.get("fit_data")
 
     positive = resolved["positive_label"]
     labels = test.task_labels(task, positive)
     preds = model.predict(test.features)
     report: dict = {"task": task.kind, "label_names": canonical, "accuracy": accuracy(preds, labels)}
     if resolved["obs"]:
-        report["group_accuracy"] = group_accuracy_mil(model, data_mod.load_observations(resolved["obs"]))
+        bags = data_mod.load_observations(resolved["obs"])
+        try:
+            report["group_accuracy"] = group_accuracy_mil(model, bags)
+        except ValueError as exc:
+            raise UsageError(f"{resolved['obs']}: {exc}") from None
 
     # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
     shift = 1 - task.label_values[0]

@@ -287,26 +287,29 @@ def load_observations(path) -> list[GroupObservation]:
         raise FileNotFoundError(f"observation file not found: {path}")
     observations = []
     line_nos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obs = _parse_observation(line)
-                z_len = len(obs.z) if isinstance(obs.z, tuple) else 0
-                if not observations:
-                    kind, width, counts = obs.task_kind, obs.xs.shape[1], z_len
-                if obs.task_kind != kind:
-                    raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
-                if obs.xs.shape[1] != width:
-                    raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
-                if z_len != counts:
-                    raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
-            except (ValueError, RecursionError) as exc:  # the decoder recurses once per nesting level
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            observations.append(obs)
-            line_nos.append(line_no)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obs = _parse_observation(line)
+                    z_len = len(obs.z) if isinstance(obs.z, tuple) else 0
+                    if not observations:
+                        kind, width, counts = obs.task_kind, obs.xs.shape[1], z_len
+                    if obs.task_kind != kind:
+                        raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
+                    if obs.xs.shape[1] != width:
+                        raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
+                    if z_len != counts:
+                        raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
+                except (ValueError, RecursionError) as exc:  # the decoder recurses once per nesting level
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+                observations.append(obs)
+                line_nos.append(line_no)
+    except UnicodeDecodeError as exc:  # raised by the file iterator, which decodes ahead of the line
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not observations:
         raise ValueError(f"no observations in {path}")
     # one vectorized pass: a numpy call per line adds a fifth to the load time of small groups

@@ -33,32 +33,26 @@ from .models import Classifier
 from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior
 from .tasks import Task, consistent_tuples
 
-# Renormalize a weight row only when it has drifted beyond this.
-ROW_SUM_TOL = 1e-9
-
 # The EM bound enumerates S(z) explicitly, so it only supports small groups.
 EM_MAX_TUPLES = 10**5
 
 
 class DegenerateGroupError(ValueError):
-    """The observed aggregate label has ~zero probability under the model."""
+    """The observed aggregate label has no representable probability under the model."""
 
 
 def compute_weights(posterior: GroupPosterior) -> np.ndarray:
     """Per-instance class weights w[i][j] = joint[i][j] / pz, rows on the simplex.
 
-    Raises DegenerateGroupError at the pz floor; callers skip such groups
-    and count them instead of letting a single near-impossible group
-    dominate the risk.
+    Each joint row sums to pz, so the weights are the joint rows normalized,
+    however small pz is. Raises DegenerateGroupError only when a row has no
+    positive mass (pz underflowed, or is NaN); callers skip such groups and
+    count them.
     """
-    if posterior.pz <= PZ_FLOOR:
-        raise DegenerateGroupError(f"p(z | group) = {posterior.pz:.3e} at or below the floor")
-    w = posterior.joint / posterior.pz
-    sums = w.sum(axis=1, keepdims=True)
-    drifted = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if np.any(drifted):
-        w = np.where(drifted & (sums > 0.0), w / sums, w)
-    return np.clip(w, 0.0, 1.0)
+    sums = posterior.joint.sum(axis=1, keepdims=True)
+    if not np.all(sums > 0.0):
+        raise DegenerateGroupError(f"p(z | group) = {posterior.pz:.3e} has no representable mass")
+    return posterior.joint / sums
 
 
 def _soft_target_grad(model: Classifier, probs: np.ndarray, targets: np.ndarray, scale) -> np.ndarray:
@@ -134,7 +128,7 @@ def estep_omega(task: Task, etas, z) -> np.ndarray:
         [np.prod([etas[i, y - offset] for i, y in enumerate(tup)]) for tup in tuples]
     )
     total = masses.sum()
-    if total <= PZ_FLOOR:
+    if not total > 0.0:
         raise DegenerateGroupError("no consistent labeling has usable probability")
     return masses / total
 

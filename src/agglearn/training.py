@@ -96,7 +96,7 @@ def default_flags(task: Task, profile: str = "small") -> tuple[bool, int, bool]:
 class EpochRecord:
     """One metrics-log line: epoch number, mean batch loss, validation
     mean group log-likelihood, training-set log-likelihood, and how many
-    groups were skipped as degenerate."""
+    groups were skipped because their p(z) underflowed."""
 
     epoch: int
     train_loss: float

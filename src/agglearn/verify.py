@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import DegenerateGroupError, aggregate_loss, compute_weights, em_lower_bound, estep_omega, loglik_loss
+from .losses import aggregate_loss, compute_weights, em_lower_bound, estep_omega, loglik_loss
 from .models import Classifier
-from .posteriors import PZ_FLOOR, brute_force_posterior, group_posterior
+from .posteriors import brute_force_posterior, group_posterior
 from .tasks import TASKS, Task, aggregate_label, enumerate_z
 
 ORACLE_TOL = 1e-9
@@ -130,10 +130,7 @@ def _exact_estimator_expectation(task, points, px, cond, losses) -> float:
         etas = cond[idx]
         for z in z_space:
             post = group_posterior(task, etas, z)
-            try:
-                weights = compute_weights(post)
-            except DegenerateGroupError:
-                continue
+            weights = compute_weights(post)
             l_agg = float((weights * losses[idx]).sum()) / m
             expectation += p_tuple * post.pz * l_agg
     return expectation
@@ -171,8 +168,6 @@ def em_suite(cases: int = 10, perturbations: int = 100, seed: int = 0) -> dict:
             z = random_z(task, rng)
             etas = np.atleast_2d(model.predict_proba(xs))
             post = group_posterior(task, etas, z)
-            if post.pz <= PZ_FLOOR:
-                continue
             log_pz = float(np.log(post.pz))
             omega_star = estep_omega(task, etas, z)
             tight = em_lower_bound(task, xs, z, omega_star, model)

@@ -208,6 +208,64 @@ class TestCheckpointValidation:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestRefusedInputNamesItsFile:
+    """Input that does not fit is a usage error that starts with the file's path."""
+
+    PAIRS = '{"xs": [[0.1, 1.2], [-0.4, 0.3]], "z": 1, "task": "pairwise"}\n'
+
+    def refused(self, argv, path, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_observation_file_that_is_not_utf8(self, tmp_path, capsys):
+        obs = tmp_path / "bad.jsonl"
+        obs.write_bytes(self.PAIRS.encode() + b"\xff\n")
+        self.refused(["train", "--obs", obs, "--k", 3, "--out-dir", tmp_path], obs, capsys)
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"k": 2}\xff')
+        self.refused(["synth", "--config", config, "--d", 2, "--n", 5, "--out-dir", tmp_path], config, capsys)
+
+    def test_observation_meta_that_is_not_utf8(self, tmp_path, capsys):
+        obs = tmp_path / "pairs.jsonl"
+        obs.write_text(self.PAIRS * 4)
+        meta = tmp_path / "pairs.jsonl.meta.json"
+        meta.write_bytes(b'{"label_names": ["\xff"]}')
+        self.refused(["train", "--obs", obs, "--k", 3, "--epochs", 1, "--out-dir", tmp_path], meta, capsys)
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "model.checkpoint.json"
+        Classifier.create("linear", "softmax", d=2, k=3, seed=0).save(path, extra={"label_names": ["1", "2", "3"]})
+        return path
+
+    @pytest.mark.parametrize("flag", ["--data", "--fit-data"])
+    def test_csv_of_another_width(self, tmp_path, dataset_csv, checkpoint, capsys, flag):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x0,x1,x2,label\n0.1,0.2,0.3,1\n")
+        argv = ["eval", "--checkpoint", checkpoint, "--data", dataset_csv, "--fit-data", dataset_csv,
+                "--task", "pairwise", "--out-dir", tmp_path]
+        argv[argv.index(flag) + 1] = wide
+        self.refused(argv, wide, capsys)
+
+    def test_label_missing_from_the_checkpoint(self, tmp_path, checkpoint, capsys):
+        zebra = tmp_path / "zebra.csv"
+        zebra.write_text("x0,x1,label\n0.1,0.2,1\n0.3,0.4,zebra\n")
+        self.refused(["eval", "--checkpoint", checkpoint, "--data", zebra, "--task", "pairwise",
+                      "--fit-on-test", "--out-dir", tmp_path], zebra, capsys)
+
+    def test_observations_that_are_not_bags(self, tmp_path, capsys):
+        checkpoint = tmp_path / "bags.checkpoint.json"
+        Classifier.create("linear", "sigmoid", d=2, k=2, seed=0).save(checkpoint)
+        data = tmp_path / "bin.csv"
+        data.write_text("x0,x1,label\n0.1,0.2,1\n0.3,0.4,2\n")
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(self.PAIRS)
+        self.refused(["eval", "--checkpoint", checkpoint, "--data", data, "--task", "mil", "--m", 3,
+                      "--obs", pairs, "--out-dir", tmp_path], pairs, capsys)
+
+
 class TestVerifyAndBench:
     def test_verify_grad_suite(self, capsys):
         assert run(["verify", "--suite", "grad", "--seed", 1]) == 0

@@ -203,3 +203,10 @@ class TestObservationFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_observations(tmp_path / "none.jsonl")
+
+    def test_a_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"xs": [[0.0, 1.0], [1.0, 0.0]], "z": 1, "task": "pairwise"}\n\xff\n')
+        with pytest.raises(ValueError) as excinfo:
+            load_observations(path)
+        assert str(excinfo.value).startswith(f"{path}: not UTF-8 text")

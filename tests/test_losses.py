@@ -46,6 +46,13 @@ class TestComputeWeights:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
             assert np.all((w >= 0.0) & (w <= 1.0))
 
+    def test_negative_bag_of_64_below_the_old_floor_gets_exact_weights(self):
+        etas = np.tile([0.5, 0.5], (64, 1))  # p(z=0) = 2**-64, about 5e-20
+        post = posterior_mil(etas, 0)
+        assert 1e-36 < post.pz < 1e-12
+        w = compute_weights(post)
+        assert np.array_equal(w, np.tile([1.0, 0.0], (64, 1)))
+
     def test_degenerate_group_raises(self):
         post = GroupPosterior(pz=0.0, joint=np.zeros((2, 3)))
         with pytest.raises(DegenerateGroupError):

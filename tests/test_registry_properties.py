@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agglearn.losses import compute_weights
 from agglearn.posteriors import brute_force_posterior, group_posterior
 from agglearn.tasks import TASKS, Task, aggregate_label, enumerate_z
 from agglearn.verify import ORACLE_TOL
@@ -66,3 +67,21 @@ def test_aggregate_label_agrees_with_the_oracle_mask(kind, data):
     index = tuple(task.label_values.index(y) for y in labels)
     for other in enumerate_z(task):
         assert task.consistency_mask(other)[index] == (other == z)
+
+
+@pytest.mark.parametrize("kind", list(TASKS))
+@PROPERTY
+@given(data=st.data())
+def test_weights_are_the_oracle_joint_over_pz(kind, data):
+    # however small p(z) is, a label the model can explain gets the posterior weights
+    task = data.draw(tasks(kind))
+    etas = data.draw(probabilities(task))
+    z = data.draw(st.sampled_from(enumerate_z(task)))
+    brute = brute_force_posterior(task, etas, z)
+    if brute.pz > 0.0:
+        closed = group_posterior(task, etas, z)
+        weights = compute_weights(closed)
+        # normalizing adds no error of its own: the only slack is the kernel's rounding in
+        # the joint, which the complement rule (1 - p, marginals - joint) magnifies by 1/pz
+        kernel = np.max(np.abs(closed.joint - brute.joint)) / brute.pz
+        assert np.max(np.abs(weights - brute.joint / brute.pz)) <= 1e-9 + 2 * (task.k + 1) * kernel

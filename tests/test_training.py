@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import harness
 from agglearn.data import GroupObservation, SyntheticSpec, generate_synthetic, sample_groups
 from agglearn.losses import compute_weights
 from agglearn.models import Classifier
@@ -185,18 +186,33 @@ class TestTrainLoop:
         assert weight_epochs == {3, 4}
 
     def test_all_degenerate_aborts(self):
-        # all-negative bags under a model certain every instance is positive
-        xs = np.ones((3, 2))
+        # all-negative bags of 30 under a model certain every instance is positive
+        xs = np.ones((30, 2))
         obs = [GroupObservation(xs, 0, "mil") for _ in range(10)]
-        task = Task("mil", 3, 2)
+        task = Task("mil", 30, 2)
         model = Classifier.create("linear", "sigmoid", d=2, k=2, seed=9)
         w, b = model.layers[0]
         w[...] = 20.0
-        b[...] = 0.0  # eta0 ~ 4e-18 per instance, so pz(z=0) is far below the floor
+        b[...] = 0.0  # eta0 clamps to 1e-12 per instance, so pz(z=0) = 1e-360 underflows to 0
         cfg = TrainConfig(epochs=1, warmup=False, confidence_cache=False,
                           batch_size=5, seed=10, val_fraction=0.0)
         with pytest.raises(TrainingAbortError):
             train(obs, task, model, cfg)
+
+    def test_rare_positive_bags_of_64_are_all_weighted(self):
+        prior = 1.0 - 3.0 ** (-1 / 64)  # about a third of the bags are negative
+        ds = harness.mixture_2class(4000, seed=21, prior=(1.0 - prior, prior))
+        task = Task("mil", 64, 2)
+        obs = sample_groups(ds, task, m=64, n_groups=200, seed=22)
+        model = Classifier.create("linear", "sigmoid", d=2, k=2, seed=23)
+        for w, b in model.layers:
+            w[...] = 0.0
+            b[...] = 0.0  # every eta is 0.5, so a negative bag starts at p(z=0) = 2**-64
+        cfg = TrainConfig(epochs=3, warmup=False, confidence_cache=False, batch_size=32, seed=24)
+        result = train(obs, task, model, cfg)
+        assert all(r.degenerate_groups == 0 for r in result.metrics)
+        test = harness.mixture_2class(2000, seed=25, prior=(0.5, 0.5))
+        assert np.mean(model.predict(test.features) == (test.labels == 2)) >= 0.9
 
     def test_task_kind_mismatch(self):
         _, task, obs = mixture_observations("pairwise", n_groups=10)

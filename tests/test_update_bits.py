@@ -120,29 +120,42 @@ def _reference_weighted_train(obs, task, model, epochs, batch_size, seed, cache)
     return records, best[1]
 
 
+def _train_against_reference(kind, m, k, arch, head, cache, scale=1.0):
+    """train() and the per-group reference from one start, the initial layer weights
+    scaled by ``scale``; asserts equal records and best parameters, returns the records."""
+    ds = harness.mixture_3class(120, seed=7) if k == 3 else harness.mixture_2class(400, seed=7, prior=(0.95, 0.05))
+    task = Task(kind, m, k)
+    obs = sample_groups(ds, task, m=m, n_groups=120, seed=8)
+    epochs, batch_size, seed = 3, 16, 5
+
+    model, reference = (Classifier.create(arch, head, d=2, k=k, seed=4) for _ in range(2))
+    for w, _ in model.layers + reference.layers:
+        w *= scale
+    result = train(obs, task, model, TrainConfig(
+        epochs=epochs, warmup=False, confidence_cache=cache, batch_size=batch_size, seed=seed))
+    records, best_params = _reference_weighted_train(obs, task, reference, epochs, batch_size, seed, cache)
+    assert [r.to_json() for r in result.metrics] == records
+    assert all(np.array_equal(a, b) for a, b in zip(model.copy_parameters(), best_params))
+    return records
+
+
 @pytest.mark.parametrize(
     "kind,m,k,arch,head,cache",
     [
         ("pairwise", 2, 3, "mlp-300", "softmax", True),
         ("pairwise", 2, 3, "mlp-300", "softmax", False),
         ("llp", 4, 3, "linear", "softmax", True),
-        # rare positives in bags of 32: many negative bags fall under the p(z) floor
+        # rare positives in bags of 32: many negative bags have p(z) far below 1e-12
         ("mil", 32, 2, "linear", "sigmoid", False),
     ],
 )
 def test_weighted_epochs_match_a_per_group_loop(kind, m, k, arch, head, cache):
-    ds = harness.mixture_3class(120, seed=7) if k == 3 else harness.mixture_2class(400, seed=7, prior=(0.95, 0.05))
-    task = Task(kind, m, k)
-    obs = sample_groups(ds, task, m=m, n_groups=120, seed=8)
-    epochs, batch_size, seed = 3, 16, 5
-
-    model = Classifier.create(arch, head, d=2, k=k, seed=4)
-    result = train(obs, task, model, TrainConfig(
-        epochs=epochs, warmup=False, confidence_cache=cache, batch_size=batch_size, seed=seed))
-
-    reference = Classifier.create(arch, head, d=2, k=k, seed=4)
-    records, best_params = _reference_weighted_train(obs, task, reference, epochs, batch_size, seed, cache)
-    assert [r.to_json() for r in result.metrics] == records
+    records = _train_against_reference(kind, m, k, arch, head, cache)
     if kind == "mil":
-        assert all(r["degenerate_groups"] > 0 for r in records)  # the skip path ran
-    assert all(np.array_equal(a, b) for a, b in zip(model.copy_parameters(), best_params))
+        assert all(r["degenerate_groups"] == 0 for r in records)  # a tiny p(z) is still weighted
+
+
+def test_weighted_epochs_skip_underflowed_groups_like_a_per_group_loop():
+    # initial weights 100x: etas clamp to 1e-12 and p(z=0) of many negative bags underflows to 0
+    records = _train_against_reference("mil", 32, 2, "linear", "sigmoid", False, scale=100.0)
+    assert all(r["degenerate_groups"] > 0 for r in records)  # the skip path ran
