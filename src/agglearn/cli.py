@@ -251,14 +251,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if resolved.get("m") is None:
         resolved["m"] = observations[0].m
     task = _build_task(resolved)
-    if task.kind != observations[0].task_kind:
-        raise UsageError(
-            f"observations are for task {observations[0].task_kind!r}, not {task.kind!r}"
-        )
-    if task.spec.counts and len(observations[0].z) != task.k:
-        raise UsageError(
-            f"{resolved['obs']}: count vectors have {len(observations[0].z)} entries, not k={task.k}"
-        )
+    d = observations[0].xs.shape[1]
+    try:
+        data_mod.check_observations(observations, task, d)
+    except ValueError as exc:
+        raise UsageError(f"{resolved['obs']}: {exc}") from None
 
     # class identities travel with the pipeline: the sampling step records
     # the source CSV's label-name order, and the checkpoint carries it on
@@ -272,7 +269,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
-    d = observations[0].xs.shape[1]
     seed = resolved["seed"] or 0
 
     profile = resolved["profile"] or "small"

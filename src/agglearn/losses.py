@@ -27,11 +27,13 @@ logistic loss (sigmoid head), exactly 2-class cross-entropy over
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .models import Classifier
 from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior
-from .tasks import Task, consistent_tuples
+from .tasks import Task
 
 # The EM bound enumerates S(z) explicitly, so it only supports small groups.
 EM_MAX_TUPLES = 10**5
@@ -115,18 +117,21 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
     return loss, model.backward(_soft_target_grad(model, probs, post.joint, pz), cache)
 
 
+def _tuple_masses(task: Task, etas, z) -> np.ndarray:
+    """prod_i eta[i][y_i] over clamped (m, k) etas for each y in S(z), entries aligned with
+    ``consistent_tuples(task, z)``: the masked outer product of the rows."""
+    etas = np.clip(np.atleast_2d(np.asarray(etas, dtype=np.float64)), PROB_EPS, 1.0 - PROB_EPS)
+    mask = task.consistency_mask(z, len(etas), EM_MAX_TUPLES)  # bounded before the product
+    return functools.reduce(np.multiply.outer, etas)[mask]
+
+
 def estep_omega(task: Task, etas, z) -> np.ndarray:
     """Posterior responsibilities over S(z): prod_i eta[i][y_i] / p(z | group).
 
     Entries align with ``consistent_tuples(task, z)``; this is the
     responsibility choice that makes the Jensen bound tight.
     """
-    etas = np.clip(np.asarray(etas, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    tuples = consistent_tuples(task, z, max_tuples=EM_MAX_TUPLES, m=etas.shape[0])
-    offset = task.label_values[0]
-    masses = np.array(
-        [np.prod([etas[i, y - offset] for i, y in enumerate(tup)]) for tup in tuples]
-    )
+    masses = _tuple_masses(task, etas, z)
     total = masses.sum()
     if not total > 0.0:
         raise DegenerateGroupError("no consistent labeling has usable probability")
@@ -144,19 +149,11 @@ def em_lower_bound(task: Task, xs, z, omega, model: Classifier) -> float:
     responsibilities of ``estep_omega``, where it equals
     log p(z | x_1..m).
     """
-    xs = np.asarray(xs, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    tuples = consistent_tuples(task, z, max_tuples=EM_MAX_TUPLES, m=xs.shape[0])
-    if omega.shape != (len(tuples),):
-        raise ValueError(f"omega must have one entry per consistent tuple ({len(tuples)})")
+    masses = _tuple_masses(task, model.predict_proba(np.asarray(xs, dtype=np.float64)), z)
+    if omega.shape != masses.shape:
+        raise ValueError(f"omega must have one entry per consistent tuple ({masses.size})")
     if np.any(omega < -1e-12) or abs(omega.sum() - 1.0) > 1e-9:
         raise ValueError("omega must be a distribution over the consistent tuples")
-    etas = np.clip(np.atleast_2d(model.predict_proba(xs)), PROB_EPS, 1.0 - PROB_EPS)
-    offset = task.label_values[0]
-    bound = 0.0
-    for tup, w in zip(tuples, omega):
-        if w <= 0.0:
-            continue
-        logp = float(sum(np.log(etas[i, y - offset]) for i, y in enumerate(tup)))
-        bound += w * (logp - np.log(w))
-    return float(bound)
+    used = omega > 0.0
+    return float(np.sum(omega[used] * (np.log(masses[used]) - np.log(omega[used]))))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -68,6 +69,27 @@ class GroupPosterior:
 
     pz: float
     joint: np.ndarray
+
+
+def parse_bit(z) -> int:
+    """The 0/1 rule: z as an int when it is 0 or 1, else ValueError."""
+    if z in (0, 1):
+        return int(z)
+    raise ValueError(f"aggregate label {z!r} must be 0 or 1")
+
+
+def parse_counts(z, m: int, k: int | None = None) -> tuple[int, ...]:
+    """The count rule: z as a tuple of k nonnegative integer counts summing to the
+    group size m (k defaults to the vector's length), else ValueError."""
+    try:
+        counts = tuple(operator.index(c) for c in z)
+    except TypeError:
+        raise ValueError(f"count vector {z!r} is not a sequence of integer counts") from None
+    if not counts or len(counts) != (k or len(counts)):
+        raise ValueError(f"count vector {z!r} has {len(counts)} entries, expected k={k}" if k else "count vector is empty")
+    if min(counts) < 0 or sum(counts) != m:
+        raise ValueError(f"count vector {z!r} needs nonnegative counts that sum to m={m}; its counts sum to {sum(counts)}")
+    return counts
 
 
 def _clamp_probs(eta) -> np.ndarray:
@@ -116,10 +138,8 @@ def indicator(event, side: int, rows=_clamp_probs) -> dict:
     """A 0/1 kind's registry pair {"posterior", "pz"} from ``event(rows(etas))``, the (marginals,
     p, joint) of z = ``side``; z = 1 - side has 1 - p and marginals - joint (``pz`` skips the joint)."""
     def posterior(etas, z) -> GroupPosterior:
-        if z not in (0, 1):
-            raise ValueError(f"a 0/1 aggregate label must be 0 or 1, got {z!r}")
         marginals, pz, joint = event(rows(etas))
-        return _finish(pz, joint) if z == side else _finish(1.0 - pz, marginals - joint)
+        return _finish(pz, joint) if parse_bit(z) == side else _finish(1.0 - pz, marginals - joint)
 
     def pz(etas, zs) -> np.ndarray:
         own = event(rows(etas))[1]
@@ -210,19 +230,13 @@ def _llp_plan(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
         return plan
 
 
-def _llp_prefix(etas: np.ndarray, z: tuple[int, ...]):
+def _llp_prefix(etas: np.ndarray, z):
     """Check counts z against clamped (m, k) etas and run the prefix sweep:
     (starts, down, mass), where mass[-2], the cell of z itself, is p(z)."""
-    m, k = etas.shape
-    if len(z) != k:
-        raise ValueError(f"count vector has {len(z)} entries, expected k={k}")
-    if any(c < 0 for c in z):
-        raise ValueError("counts must be nonnegative")
-    if sum(z) != m:
-        raise ValueError(f"counts sum to {sum(z)}, expected group size m={m}")
+    z = parse_counts(z, *etas.shape)
     volume = math.prod(c + 1 for c in z)
-    if (k + 2) * volume > MAX_LLP_BOX:
-        raise ValueError(f"llp count box of volume {volume} needs {(k + 2) * volume} cells, over {MAX_LLP_BOX}")
+    if (len(z) + 2) * volume > MAX_LLP_BOX:
+        raise ValueError(f"llp count box of volume {volume} needs {(len(z) + 2) * volume} cells, over {MAX_LLP_BOX}")
 
     starts, down = _llp_plan(z)
     mass = np.zeros(volume + 1)  # index ``volume`` is the zero sentinel
@@ -243,7 +257,7 @@ def posterior_llp(etas, z) -> GroupPosterior:
     joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
     """
     etas = _clamp_probs(etas)
-    starts, down, mass = _llp_prefix(etas, tuple(int(c) for c in np.asarray(z).ravel()))
+    starts, down, mass = _llp_prefix(etas, z)
     volume = mass.size - 1
     # prefix[p] = prefix mass of z - c for cell p = c: the flip c -> z - c maps p to volume - 1 - p
     prefix = mass[volume - 1 :: -1].copy()
@@ -257,7 +271,7 @@ def posterior_llp(etas, z) -> GroupPosterior:
 
 def pz_llp(etas, zs) -> np.ndarray:
     """p(z | group) for stacked groups (G, m, k): the prefix sweep alone, per group."""
-    return np.array([max(_llp_prefix(_clamp_probs(e), tuple(z))[2][-2], 0.0) for e, z in zip(etas, zs)])
+    return np.array([max(_llp_prefix(_clamp_probs(e), z)[2][-2], 0.0) for e, z in zip(etas, zs)])
 
 
 def rank_event(cum):
@@ -318,13 +332,12 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 2:
         raise ValueError("etas must be (m, k)")
-    task.check_group_size(etas.shape[0])
+    task.spec.check_group_size(etas.shape[0], task.kind)
     if etas.shape[1] != task.k:
         raise ValueError(f"got {etas.shape[1]} classes for a task with {task.k}")
     if not np.all(np.abs(etas.sum(axis=1) - 1.0) <= 1e-6):  # NaN fails every comparison
         raise ValueError("each probability row must sum to 1")
-    spec = task.spec
-    return spec.posterior(etas, spec.parse_z(z, *etas.shape))
+    return task.spec.posterior(etas, z)  # the kernel checks z by the kind's rule
 
 
 def brute_force_posterior(task: Task, etas, z, max_tuples: int = 10**7) -> GroupPosterior:

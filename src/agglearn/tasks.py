@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +45,7 @@ class TaskSpec:
     too) and the class count k to the components of z, elementwise: one
     0/1 component for the indicator tasks, k counts for label proportions.
     ``posterior`` is the closed form p(z | group), p(z, y_i = j | group)
-    for validated per-class probabilities (m, k) and a validated z.
+    for validated per-class probabilities (m, k) and a z it checks by ``parse_z``'s rule.
     ``pz`` is p(z | group) alone, shape (G,), for groups stacked as (G, m, k)
     and G validated labels; each entry equals ``posterior(...).pz`` bit for bit.
     """
@@ -66,21 +65,8 @@ class TaskSpec:
     identifiable: bool = True  # False: classes are known only up to a permutation
 
     def parse_z(self, z, m: int, k: int | None = None):
-        """z validated for a group of m: 0 or 1, or a tuple of k nonnegative
-        integer counts summing to m (k defaults to the vector's length)."""
-        if not self.counts:
-            if z in (0, 1):
-                return int(z)
-            raise ValueError(f"aggregate label {z!r} must be 0 or 1")
-        try:
-            counts = tuple(operator.index(c) for c in z)
-        except TypeError:
-            counts = ()
-        if not counts or len(counts) != (k or len(counts)) or min(counts) < 0 or sum(counts) != m:
-            raise ValueError(
-                f"count vector {z!r} is not {k or 'k'} nonnegative integers summing to the group size {m}"
-            )
-        return counts
+        """z checked for a group of m by the kind's rule, ``kernels.parse_counts`` or ``parse_bit``."""
+        return kernels.parse_counts(z, m, k) if self.counts else kernels.parse_bit(z)
 
     def check_group_size(self, m: int, kind: str) -> None:
         """Raise unless a group of m instances fits the kind: its fixed m, or
@@ -150,8 +136,8 @@ class Task:
     def __post_init__(self):
         if self.kind not in TASKS:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {list(TASKS)}")
-        self.check_group_size(self.m)
         spec = self.spec
+        spec.check_group_size(self.m, self.kind)
         if spec.k is not None and self.k != spec.k:
             raise ValueError(f"task {self.kind!r} requires k={spec.k}, got k={self.k}")
         if self.k < spec.min_k:
@@ -167,10 +153,6 @@ class Task:
         first = self.spec.first_label
         return tuple(range(first, first + self.k))
 
-    def check_group_size(self, m: int) -> None:
-        """Raise unless a group of m fits the kind (llp/mil groups may deviate from the task's m)."""
-        self.spec.check_group_size(m, self.kind)
-
     def consistency_mask(self, z, m: int | None = None, max_tuples: int = 10**7) -> np.ndarray:
         """Boolean tensor over the full label space of a group of m marking g(y_1..m) = z.
 
@@ -178,7 +160,7 @@ class Task:
         |labels|^m entries exceed max_tuples.
         """
         m = self.m if m is None else int(m)
-        self.check_group_size(m)
+        self.spec.check_group_size(m, self.kind)  # llp/mil groups may deviate from the task's m
         n = self.k
         if n**m > max_tuples:
             raise ValueError(f"label space {n}^{m} exceeds the enumeration bound {max_tuples}")

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import GroupObservation
+from .data import GroupObservation, check_observations
 from .losses import DegenerateGroupError, aggregate_loss, compute_weights, loglik_loss
 from .models import AdamState, Classifier, adam_step
 from .posteriors import PZ_FLOOR, group_posterior
@@ -121,14 +121,12 @@ class TrainResult:
 
 
 def observed_likelihood(task: Task, observations: list[GroupObservation], model: Classifier) -> float:
-    """Sum of log p(z | group) over the observations under the model, from stacked
-    forwards and the task's p(z)-only kernel, added in group order."""
-    spec = task.spec
+    """Sum of log p(z | group) over observations that pass ``check_observations``, under
+    the model, from stacked forwards and the task's p(z)-only kernel, added in group order."""
+    zs = check_observations(observations, task, model.d)
     pz = np.empty(len(observations))
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
-        task.check_group_size(stack.shape[1])
-        zs = [spec.parse_z(observations[i].z, observations[i].m, task.k) for i in idx]
-        pz[idx] = spec.pz(model.predict_proba(stack), zs)
+        pz[idx] = task.spec.pz(model.predict_proba(stack), [zs[i] for i in idx])
     total = 0.0
     for p in pz.tolist():
         total += float(np.log(max(p, PZ_FLOOR)))
@@ -141,20 +139,6 @@ def _refresh(model: Classifier, rows: list[np.ndarray], observations: list[Group
     for idx, stack in model.group_stacks([observations[gi].xs for gi in batch_idx]):
         for i, etas in zip(idx, model.predict_proba(stack)):
             rows[batch_idx[i]][...] = etas
-
-
-def _check_observations(task: Task, observations: list[GroupObservation]) -> None:
-    if not observations:
-        raise ValueError("no observations to train on")
-    for obs in observations:
-        if obs.task_kind != task.kind:
-            raise ValueError(f"observation for task {obs.task_kind!r} under task {task.kind!r}")
-        task.check_group_size(obs.m)
-        task.spec.parse_z(obs.z, obs.m, task.k)
-    finite = np.isfinite(np.concatenate([obs.xs.ravel() for obs in observations]))  # one vectorized pass
-    if not finite.all():
-        group = np.searchsorted(np.cumsum([obs.xs.size for obs in observations]), np.argmin(finite), side="right")
-        raise ValueError(f"observation {group} has a non-finite feature value")
 
 
 def train(
@@ -173,7 +157,9 @@ def train(
     each confidence-cache refresh; ``etas``, ``weights`` and ``values`` are
     lists of one (m, k) array per group.
     """
-    _check_observations(task, observations)
+    if not observations:
+        raise ValueError("no observations to train on")
+    check_observations(observations, task, model.d)
     if model.k != task.k:
         raise ValueError(f"model has {model.k} classes for a task with {task.k}")
 

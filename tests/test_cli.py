@@ -265,6 +265,54 @@ class TestRefusedInputNamesItsFile:
         self.refused(["eval", "--checkpoint", checkpoint, "--data", data, "--task", "mil", "--m", 3,
                       "--obs", pairs, "--out-dir", tmp_path], pairs, capsys)
 
+    def test_observations_of_another_kind(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(self.PAIRS * 4)
+        self.refused(["train", "--obs", pairs, "--task", "rank", "--k", 3, "--out-dir", tmp_path], pairs, capsys)
+        assert not list(tmp_path.glob("*.checkpoint.json"))
+
+
+class TestErrorPaths:
+    """Each refusal exits with its code and says why."""
+
+    PAIRS = TestRefusedInputNamesItsFile.PAIRS
+
+    def fails(self, argv, code, message, capsys):
+        assert run(argv) == code
+        assert message in capsys.readouterr().err
+
+    def test_every_group_degenerate_aborts_the_run(self, tmp_path, capsys):
+        bags = tmp_path / "bags.jsonl"  # p(z=0) of 1,100 instances at 0.5 each underflows to 0
+        bags.write_text((json.dumps({"xs": [[0.0, 0.0]] * 1100, "z": 0, "task": "mil"}) + "\n") * 4)
+        self.fails(["train", "--obs", bags, "--epochs", 1, "--out-dir", tmp_path], 2,
+                   "aborted: epoch 1: every group was degenerate", capsys)
+
+    def test_unknown_task_kind(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(self.PAIRS * 4)
+        self.fails(["train", "--obs", pairs, "--task", "bogus", "--k", 3, "--out-dir", tmp_path], 1,
+                   "unknown task kind 'bogus'", capsys)
+
+    def test_train_without_observations(self, tmp_path, capsys):
+        self.fails(["train", "--k", 3, "--out-dir", tmp_path], 1, "missing required option --obs", capsys)
+
+    def test_aggregate_llp_without_k(self, tmp_path, dataset_csv, capsys):
+        self.fails(["aggregate", "--data", dataset_csv, "--task", "llp", "--m", 4, "--n-groups", 5,
+                    "--out-dir", tmp_path], 1, "missing required option --k", capsys)
+
+    def test_eval_llp_without_m(self, tmp_path, dataset_csv, capsys):
+        checkpoint = tmp_path / "model.checkpoint.json"
+        Classifier.create("linear", "softmax", d=2, k=3, seed=0).save(checkpoint)
+        self.fails(["eval", "--checkpoint", checkpoint, "--data", dataset_csv, "--task", "llp",
+                    "--out-dir", tmp_path], 1, "task 'llp' needs an explicit --m", capsys)
+
+    def test_eval_checkpoint_head_that_does_not_fit_the_task(self, tmp_path, dataset_csv, capsys):
+        checkpoint = tmp_path / "bags.checkpoint.json"
+        Classifier.create("linear", "sigmoid", d=2, k=2, seed=0).save(checkpoint)
+        self.fails(["eval", "--checkpoint", checkpoint, "--data", dataset_csv, "--task", "pairwise",
+                    "--fit-on-test", "--out-dir", tmp_path], 1,
+                   "checkpoint head 'sigmoid' does not fit task 'pairwise'", capsys)
+
 
 class TestVerifyAndBench:
     def test_verify_grad_suite(self, capsys):

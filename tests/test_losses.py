@@ -228,6 +228,24 @@ class TestEmLowerBound:
         bound = em_lower_bound(task, xs, z, np.array([1.0]), model)
         assert bound == pytest.approx(float(np.log(etas[:, 0]).sum()), rel=1e-9)
 
+    @pytest.mark.parametrize("task, z", [
+        (Task("pairwise", 2, 3), 0), (Task("triplet", 3, 3), 1), (Task("llp", 4, 3), (2, 1, 1)),
+        (Task("mil", 4, 2), 1), (Task("rank", 2, 4), 0), (Task("ordinal_triplet", 3, 3), 1),
+    ])
+    def test_tuple_masses_match_a_loop_over_the_consistent_tuples(self, task, z):
+        rng = np.random.default_rng(13)
+        head = {"mil": "sigmoid", "rank": "cumulative", "ordinal_triplet": "cumulative"}.get(task.kind, "softmax")
+        model = Classifier.create("linear", head, d=2, k=task.k, seed=14)
+        xs = rng.normal(size=(task.m, 2))
+        etas = model.predict_proba(xs)
+        offset = task.label_values[0]
+        masses = np.array([np.prod([etas[i, y - offset] for i, y in enumerate(tup)])
+                           for tup in consistent_tuples(task, z)])
+        np.testing.assert_allclose(estep_omega(task, etas, z), masses / masses.sum(), rtol=1e-13, atol=0)
+        omega = rng.dirichlet(np.ones(len(masses)))
+        reference = sum(w * (np.log(p) - np.log(w)) for p, w in zip(masses, omega))
+        assert em_lower_bound(task, xs, z, omega, model) == pytest.approx(reference, rel=1e-12)
+
     def test_rejects_unnormalized_responsibilities(self):
         task = Task("pairwise", 2, 2)
         model = uniform_model(k=2)
