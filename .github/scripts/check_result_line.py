@@ -1,17 +1,21 @@
-"""Check the result line that ends a traced perfbench run.
+"""Check the result line that ends a perfbench run, traced or untraced.
 
     python3 perfbench/run.py --workload llp-m12-k10 --seed 1 --seconds 3 --trace 1 > run.out
-    tail -n 1 run.out | python3 .github/scripts/check_result_line.py
+    tail -n 1 run.out | python3 .github/scripts/check_result_line.py --trace 1
 
-The line must parse as strict JSON (no NaN or Infinity) with "correct" true. It
-must hold every per-layer metric that BENCHMARK.json declares, each with a
-finite value, and every time metric (unit "s") must be above 0, except
-trace.overhead_s: that is the difference of two timed runs, and a short run
-can read it below 0. Exit code 0 when the line passes, 1 otherwise.
+The line must parse as strict JSON (no NaN or Infinity) with "correct" true.
+``--trace`` names the run's mode, as perfbench's flag of that name does, and
+defaults to 1. A traced line must hold every per-layer metric that
+BENCHMARK.json declares, an untraced line (``--trace 0``) every end-to-end
+metric. Each value must be finite, and every time metric (unit "s") must be
+above 0, except trace.overhead_s: that is the difference of two timed runs,
+and a short run can read it below 0. Exit code 0 when the line passes, 1
+otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -46,9 +50,16 @@ def problems(line: str, declared: list[str]) -> list[str]:
     return found
 
 
-def main() -> int:
-    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
-    found = problems(sys.stdin.read().strip(), declared)
+def declared(trace: bool) -> list[str]:
+    """The metric names BENCHMARK.json declares for a traced or an untraced run."""
+    return [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer" if trace else "end_to_end"]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=1)
+    args = parser.parse_args(argv)
+    found = problems(sys.stdin.read().strip(), declared(bool(args.trace)))
     for problem in found:
         print(f"result line: {problem}", file=sys.stderr)
     return 1 if found else 0

@@ -21,9 +21,9 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import GroupObservation
+from .data import GroupObservation, check_observations
 from .models import Classifier
-from .tasks import TASKS
+from .tasks import TASKS, Task
 
 MAX_ASSIGNMENT_CLASSES = 64
 # brute_force_matching tries k! permutations: about 1.5 s at k = 9, hours at k = 13.
@@ -157,8 +157,7 @@ def group_accuracy_mil(
         raise ValueError(f"unknown rule {rule!r}")
     if not observations:
         raise ValueError("empty input")
-    if any(obs.task_kind != "mil" for obs in observations):
-        raise ValueError("group accuracy is defined for the bag task")
+    zs = check_observations(observations, Task("mil", 2, 2), model.d)  # the bag task at any m >= 2
     if rule == "posterior" and model.k != 2:
         raise ValueError("the bag posterior needs probabilities over classes {0, 1}")
     hits = 0
@@ -167,5 +166,5 @@ def group_accuracy_mil(
             z_hat = TASKS["mil"].pz(model.predict_proba(stack), [1] * len(idx)) >= 0.5
         else:
             z_hat = np.any(model.predict(stack) == 1, axis=-1)
-        hits += int(np.sum(z_hat == np.array([int(observations[i].z) for i in idx])))
+        hits += int(np.sum(z_hat == np.array([zs[i] for i in idx])))
     return hits / len(observations)

@@ -52,7 +52,7 @@ def compute_weights(posterior: GroupPosterior) -> np.ndarray:
     count them.
     """
     sums = posterior.joint.sum(axis=1, keepdims=True)
-    if not np.all(sums > 0.0):
+    if not (sums > 0.0).all():
         raise DegenerateGroupError(f"p(z | group) = {posterior.pz:.3e} has no representable mass")
     return posterior.joint / sums
 

@@ -190,10 +190,12 @@ class Classifier:
     def probabilities(self, logits: np.ndarray) -> np.ndarray:
         """Per-class probabilities (..., k) from logits (..., out_dim); the
         sigmoid head turns its single logit f into (1-s(f), s(f))."""
-        if self.head == "sigmoid":
-            # softmax over (0, f) == logistic sigmoid of the single logit
-            logits = np.concatenate([np.zeros_like(logits), logits], axis=-1)
-        return softmax(logits)
+        if self.head != "sigmoid":
+            return softmax(logits)
+        # softmax over (0, f), its two-column max and sum taken elementwise: the same bits
+        top = np.maximum(logits, 0.0)
+        exp = np.exp(np.concatenate([0.0 - top, logits - top], axis=-1))
+        return exp / (exp[..., :1] + exp[..., 1:])
 
     def predict_proba(self, x) -> np.ndarray:
         """Per-class probabilities (n, k) or (G, m, k); sigmoid head gives (1-s, s) pairs."""
@@ -206,7 +208,9 @@ class Classifier:
     def predict(self, x) -> np.ndarray:
         """Hard labels: argmax class in 1..k, or {0,1} for the sigmoid head.
 
-        Ties go to the lowest class index.
+        Argmax ties go to the lowest class index. The sigmoid head predicts 1
+        when f >= 0, i.e. p(1) >= 1/2, so f = 0 gives 1: the same threshold as
+        the p(z=1) >= 1/2 rule of ``evaluation.group_accuracy_mil``.
         """
         logits = np.atleast_2d(self.forward(x))
         if self.head == "sigmoid":

@@ -94,7 +94,7 @@ def parse_counts(z, m: int, k: int | None = None) -> tuple[int, ...]:
 
 def _clamp_probs(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
-    return np.clip(eta, PROB_EPS, 1.0 - PROB_EPS)
+    return np.minimum(np.maximum(eta, PROB_EPS), 1.0 - PROB_EPS)  # np.clip's bits, less overhead
 
 
 def _finish(pz: float, joint: np.ndarray) -> GroupPosterior:
@@ -176,9 +176,9 @@ def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
 
 
 def mil_event(etas):
-    pz = np.prod(etas[..., 0], axis=-1)
-    joint = np.zeros_like(etas)
-    joint[..., 0] = np.expand_dims(pz, -1)
+    pz = etas[..., 0].prod(axis=-1)
+    joint = np.zeros(etas.shape)
+    joint[..., 0] = pz[..., None]
     return etas, pz, joint
 
 
@@ -335,7 +335,7 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     task.spec.check_group_size(etas.shape[0], task.kind)
     if etas.shape[1] != task.k:
         raise ValueError(f"got {etas.shape[1]} classes for a task with {task.k}")
-    if not np.all(np.abs(etas.sum(axis=1) - 1.0) <= 1e-6):  # NaN fails every comparison
+    if not (np.abs(etas.sum(axis=1) - 1.0) <= 1e-6).all():  # NaN fails every comparison
         raise ValueError("each probability row must sum to 1")
     return task.spec.posterior(etas, z)  # the kernel checks z by the kind's rule
 

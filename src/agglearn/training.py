@@ -217,7 +217,11 @@ def train(
             batch_loss = 0.0
             contributed = 0
             for loss, g in updates:
-                grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+                if grads is None:
+                    grads = g  # backward returns fresh arrays, so later groups add in place
+                else:
+                    for a, b in zip(grads, g):
+                        a += b
                 batch_loss += loss
                 contributed += 1
             if contributed:

@@ -153,3 +153,16 @@ class TestGroupAccuracy:
         good = [GroupObservation(np.zeros((2, 2)), 1, "mil")]
         with pytest.raises(ValueError):
             group_accuracy_mil(model, good, rule="vote")
+
+    @pytest.mark.parametrize("rule", ["posterior", "any_instance"])
+    @pytest.mark.parametrize("bad, message", [
+        (GroupObservation(np.full((3, 2), np.nan), 7, "mil"), "observation 1: aggregate label 7 must be 0 or 1"),
+        (GroupObservation(np.array([[np.nan, 0.0], [1.0, 1.0]]), 1, "mil"), "observation 1 has a non-finite feature"),
+        (GroupObservation(np.zeros((1, 2)), 1, "mil"), "observation 1: task 'mil' requires m >= 2"),
+        (GroupObservation(np.zeros((3, 5)), 0, "mil"), "observation 1 has 5 features, the model takes 2"),
+    ])
+    def test_rejects_a_bag_the_observation_check_refuses(self, bad, message, rule):
+        model = Classifier.create("linear", "sigmoid", d=2, k=2, seed=6)
+        good = GroupObservation(np.zeros((3, 2)), 0, "mil")
+        with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+            group_accuracy_mil(model, [good, bad], rule=rule)

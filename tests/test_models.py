@@ -104,6 +104,15 @@ class TestHeads:
             b[...] = 0.0
         assert model.predict(np.array([1.0, 1.0])) == 1
 
+    def test_tie_rule_of_each_head(self):
+        x = np.zeros((2, 4, 1))  # a (G, m, d) stack, every logit the bias alone
+        sigmoid = Classifier("linear", "sigmoid", 1, 2, [(np.ones((1, 1)), np.zeros(1))])
+        np.testing.assert_array_equal(sigmoid.predict_proba(x), 0.5)
+        np.testing.assert_array_equal(sigmoid.predict(x), 1)  # f = 0, p(1) = 1/2: the positive class
+        for head in ("softmax", "cumulative"):
+            model = Classifier("linear", head, 1, 4, [(np.ones((1, 4)), np.array([1.0, 3.0, 3.0, 0.0]))])
+            np.testing.assert_array_equal(model.predict(x), 2)  # classes 2 and 3 tie: the lower wins
+
 
 class TestBackward:
     @staticmethod
