@@ -6,7 +6,8 @@ accuracy maximized over all assignments of predicted classes to true
 classes. The optimal assignment comes from solving a linear sum assignment
 problem on negated confusion counts; ties between equally good assignments
 break toward the lexicographically smallest permutation so results are
-reproducible.
+reproducible. Only this solver needs scipy; it is imported on the first
+matched-accuracy call, so ``import agglearn`` loads numpy alone.
 
 Bag (MIL) models are additionally scored at the group level: a bag is
 predicted positive when the model's posterior bag probability reaches 1/2.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import GroupObservation, check_observations
 from .models import Classifier
@@ -58,6 +58,8 @@ def confusion_counts(preds, labels, k: int) -> np.ndarray:
 
 
 def _assignment_value(confusion: np.ndarray) -> int:
+    from scipy.optimize import linear_sum_assignment  # here, so only matched accuracy loads scipy (~50 MB)
+
     rows, cols = linear_sum_assignment(-confusion)
     return int(confusion[rows, cols].sum())
 

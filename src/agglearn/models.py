@@ -159,14 +159,16 @@ class Classifier:
         return logits[0] if single else logits
 
     def forward_cached(self, x: np.ndarray):
-        """Logits plus the cache ``backward`` consumes: the input of each layer."""
+        """Logits plus the cache ``backward`` consumes: the input of each layer.
+        Each layer fills one new array; bias and ReLU apply to it in place."""
         x = self._check_input(x)
         inputs = []
         for w, b in self.layers:
-            if inputs:
-                x = np.maximum(x, 0.0)
+            if inputs:  # x is this pass's own array here, never the caller's input
+                np.maximum(x, 0.0, out=x)
             inputs.append(x)
-            x = x @ w + b
+            x = x @ w
+            x += b
         return x, inputs
 
     def backward(self, dlogits: np.ndarray, cache: list) -> list[np.ndarray]:

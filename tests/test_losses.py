@@ -11,7 +11,7 @@ from agglearn.losses import (
 )
 from agglearn.models import Classifier
 from agglearn.posteriors import GroupPosterior, group_posterior, posterior_mil, posterior_pairwise
-from agglearn.tasks import Task, consistent_tuples
+from agglearn.tasks import TASKS, Task, aggregate_label, consistent_tuples
 
 
 def uniform_model(head="softmax", d=2, k=3):
@@ -57,6 +57,38 @@ class TestComputeWeights:
         post = GroupPosterior(pz=0.0, joint=np.zeros((2, 3)))
         with pytest.raises(DegenerateGroupError):
             compute_weights(post)
+
+
+class TestWeightsFromRowSums:
+    # one task per registered kind; a kind added to TASKS needs an entry here
+    TASKS_BY_KIND = {
+        "pairwise": Task("pairwise", 2, 3),
+        "triplet": Task("triplet", 3, 4),
+        "llp": Task("llp", 6, 3),
+        "mil": Task("mil", 16, 2),
+        "rank": Task("rank", 2, 4),
+        "ordinal_triplet": Task("ordinal_triplet", 3, 4),
+    }
+
+    def test_every_kind_is_covered(self):
+        assert set(self.TASKS_BY_KIND) == set(TASKS)
+
+    @pytest.mark.parametrize("kind", sorted(TASKS))
+    def test_weights_are_joint_rows_over_their_own_sums(self, kind):
+        # each joint row sums to p(z) only up to rounding, so dividing by pz
+        # instead moves the bits of many groups; this pins the row-sum divisor
+        task = self.TASKS_BY_KIND[kind]
+        rng = np.random.default_rng(sorted(TASKS).index(kind))
+        labels = np.array(task.label_values)
+        pz_form_differs = 0
+        for _ in range(200):
+            etas = rng.dirichlet(np.ones(task.k), size=task.m)
+            z = aggregate_label(task, rng.choice(labels, size=task.m))
+            post = group_posterior(task, etas, z)
+            want = post.joint / post.joint.sum(axis=1, keepdims=True)
+            assert np.array_equal(compute_weights(post).view(np.uint64), want.view(np.uint64))
+            pz_form_differs += not np.array_equal(want, post.joint / post.pz)
+        assert pz_form_differs > 0
 
 
 class TestAggregateLoss:

@@ -51,6 +51,41 @@ class TestForward:
             model.forward(np.zeros(5))
 
 
+class TestForwardInPlace:
+    """``forward_cached`` adds the bias and applies the ReLU in place on each
+    layer's new array; these pin it against the allocating form it replaced."""
+
+    @staticmethod
+    def _allocating_forward(model, x):
+        inputs = []
+        for w, b in model.layers:
+            if inputs:
+                x = np.maximum(x, 0.0)
+            inputs.append(x)
+            x = x @ w + b
+        return x, inputs
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp-300"])
+    @pytest.mark.parametrize("shape", [(7, 4), (5, 3, 4)], ids=["n-d", "G-m-d"])
+    def test_same_bits_as_the_allocating_form(self, arch, shape):
+        model = Classifier.create(arch, "softmax", d=4, k=3, seed=11)
+        for _, b in model.layers:
+            b[...] = np.random.default_rng(12).normal(size=b.shape)
+        x = np.random.default_rng(13).normal(size=shape)
+        before = x.copy()
+        logits, cache = model.forward_cached(x)
+        ref_logits, ref_cache = self._allocating_forward(model, before.copy())
+        assert logits.shape == shape[:-1] + (3,)
+        assert np.array_equal(logits.view(np.uint64), ref_logits.view(np.uint64))
+        assert len(cache) == len(ref_cache)
+        for got, want in zip(cache, ref_cache):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if arch == "mlp-300":
+            assert (cache[1] == 0.0).any() and (cache[1] > 0.0).any()  # the ReLU acted
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # the caller's input is untouched
+        assert not any(np.shares_memory(entry, logits) for entry in cache)
+
+
 class TestHeads:
     def test_uniform_logits(self):
         np.testing.assert_allclose(softmax(np.zeros((1, 3))), 1.0 / 3.0, atol=1e-15)

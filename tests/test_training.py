@@ -244,6 +244,20 @@ class TestTrainLoop:
         train(obs, task, model, cfg)  # runs fine without the cache
 
 
+class TestValidationSplit:
+    def test_the_held_out_count_rounds(self):
+        # 7 groups at val_fraction 0.1: round(0.7) holds out one group, int(0.7) would hold out none
+        _, task, obs = mixture_observations("pairwise", n_groups=7)
+        cfg = TrainConfig(epochs=1, warmup=False, confidence_cache=True, batch_size=4, seed=6,
+                          val_fraction=0.1)
+        model = fresh_model(task)
+        result = train(obs, task, model, cfg)
+        assert result.confidence.shape == (6, task.m, task.k)
+        held_out = np.random.Generator(np.random.Philox(np.random.SeedSequence(6).spawn(2)[0])).permutation(7)[0]
+        # one epoch, so the returned model is the one that was validated
+        assert result.metrics[0].val_metric == observed_likelihood(task, [obs[held_out]], model)
+
+
 class TestMixedGroupSizes:
     """Groups of sizes 2, 3 and 5 in one run share the flat eta rows."""
 
