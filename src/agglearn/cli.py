@@ -8,8 +8,8 @@ the working directory. Artifacts carry the sha256 hash of the resolved
 configuration that produced them (embedded for JSON artifacts, sidecar
 ``<name>.meta.json`` for CSV/JSONL files whose schema is fixed).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime abort,
-3 verification failure.
+Exit codes: 0 success, 1 usage or configuration error (argparse's own errors
+included), 2 runtime abort, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import data as data_mod
 from .data import SyntheticSpec
 from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
 from .models import Classifier, load_checkpoint, valid_label_names
-from .posteriors import brute_force_posterior, group_posterior
+from .posteriors import brute_force_posterior, group_posterior, parse_int, seeded_rng
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
 from .verify import SUITES, random_etas, random_z, registered_tasks, run_suite
@@ -170,12 +170,8 @@ def _build_task(resolved: dict) -> Task:
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "k", "d", "n")
-    k, d, n = resolved["k"], resolved["d"], resolved["n"]
-    if n < 1:
-        raise UsageError("empty dataset requested")
-    if min(k, d) < 1:
-        raise UsageError(f"--{'k' if k < 1 else 'd'} must be >= 1")
-    seed = resolved["seed"] or 0
+    k, d, n = parse_int(resolved["k"], "--k", 1), parse_int(resolved["d"], "--d", 1), resolved["n"]
+    seed = parse_int(resolved["seed"] or 0, "--seed", 0)
     for key, shape in (("means", (k, d)), ("spreads", (k,)), ("prior", (k,))):
         try:
             ok = resolved[key] is None or np.asarray(resolved[key], dtype=np.float64).shape == shape
@@ -216,16 +212,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _load_config(args.config))
     _require(resolved, "data", "n_groups")
     task = _build_task(resolved)
-    n_groups = resolved["n_groups"]
-    if n_groups < 1:
-        raise UsageError("--n-groups must be >= 1")
+    n_groups = parse_int(resolved["n_groups"], "--n-groups", 1)
     dataset = data_mod.load_csv(resolved["data"], label_column=resolved["label_column"] or "label")
     observations = data_mod.sample_groups(
         dataset,
         task,
         m=task.m,
         n_groups=n_groups,
-        seed=resolved["seed"] or 0,
+        seed=parse_int(resolved["seed"] or 0, "--seed", 0),
         positive_label=resolved["positive_label"],
     )
     out = _out_dir(args.out_dir)
@@ -269,7 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
-    seed = resolved["seed"] or 0
+    seed = parse_int(resolved["seed"] or 0, "--seed", 0)
 
     profile = resolved["profile"] or "small"
     warmup, warmup_epochs, confidence_cache = default_flags(task, profile)
@@ -388,17 +382,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    summary = run_suite(args.suite, seed=args.seed or 0)
+    summary = run_suite(args.suite, seed=parse_int(args.seed, "--seed", 0))
     print(json.dumps(summary, indent=2))
     return EXIT_OK if summary["passed"] else EXIT_VERIFY
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time each closed-form posterior against brute-force enumeration."""
-    repeats = args.repeats
-    if repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed or 0)))
+    repeats = parse_int(args.repeats, "--repeats", 1)
+    rng = seeded_rng(parse_int(args.seed, "--seed", 0))
     rows = []
     for task in registered_tasks(m=6, k=10):
         etas = random_etas(task, rng)
@@ -458,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on its own usage errors (0 after --help)
+        raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
     except (UsageError, FileNotFoundError, ValueError) as exc:

@@ -1,9 +1,10 @@
 """Datasets, synthetic generation, CSV ingestion, and group sampling.
 
 Randomness policy: every stochastic operation takes an explicit seed and
-draws from a Philox counter-based 64-bit generator (via numpy's
-``Generator``), so identical seeds give bit-identical output on any
-platform. Independent streams are derived with ``SeedSequence.spawn``.
+draws from ``posteriors.seeded_rng``, the one constructor of the Philox
+counter-based 64-bit generator (via numpy's ``Generator``) over a whole-number
+seed >= 0, so identical seeds give bit-identical output on any platform.
+Independent streams are derived with ``SeedSequence.spawn``.
 
 On-disk formats:
 
@@ -25,11 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .posteriors import parse_int, seeded_rng
 from .tasks import TASKS, Task, aggregate_label
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
 @dataclass
@@ -108,6 +106,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.k, self.d = parse_int(self.k, "k", 1), parse_int(self.d, "d", 1)
         self.means = np.asarray(self.means, dtype=np.float64).reshape(self.k, self.d)
         self.spreads = np.asarray(self.spreads, dtype=np.float64).reshape(self.k)
         self.prior = np.asarray(self.prior, dtype=np.float64).reshape(self.k)
@@ -129,9 +128,9 @@ class SyntheticSpec:
 
 def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
     """Draw n labeled points i.i.d. from the mixture; deterministic in the seed."""
-    if n < 1:
+    if parse_int(n, "n") < 1:
         raise ValueError("empty dataset requested")
-    rng = _rng(spec.seed)
+    rng = seeded_rng(spec.seed)
     labels = rng.choice(spec.k, size=n, p=spec.prior) + 1
     noise = rng.standard_normal((n, spec.d))
     features = spec.means[labels - 1] + noise * spec.spreads[labels - 1][:, None]
@@ -232,11 +231,11 @@ def sample_groups(
     consistent with the hidden ones. ``m`` must match the task's group
     size. Labels map into the task's alphabet with ``Dataset.task_labels``.
     """
-    if m != task.m:
+    if parse_int(m, "m") != task.m:
         raise ValueError(f"group size {m} does not match task {task.kind!r} (m={task.m})")
     labels = dataset.task_labels(task, positive_label)
-    rng = _rng(seed)
-    draws = rng.integers(0, dataset.n, size=(n_groups, m))
+    rng = seeded_rng(seed)
+    draws = rng.integers(0, dataset.n, size=(parse_int(n_groups, "n_groups", 1), m))
     observations = []
     for row in draws:
         z = aggregate_label(task, labels[row])

@@ -27,12 +27,10 @@ logistic loss (sigmoid head), exactly 2-class cross-entropy over
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .models import Classifier
-from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior
+from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior, label_space_product
 from .tasks import Task
 
 # The EM bound enumerates S(z) explicitly, so it only supports small groups.
@@ -118,11 +116,11 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
 
 
 def _tuple_masses(task: Task, etas, z) -> np.ndarray:
-    """prod_i eta[i][y_i] over clamped (m, k) etas for each y in S(z), entries aligned with
-    ``consistent_tuples(task, z)``: the masked outer product of the rows."""
-    etas = np.clip(np.atleast_2d(np.asarray(etas, dtype=np.float64)), PROB_EPS, 1.0 - PROB_EPS)
+    """prod_i eta[i][y_i] over clipped (m, k) etas for each y in S(z), entries aligned with
+    ``consistent_tuples(task, z)``: the masked ``label_space_product`` of the rows."""
+    etas = np.atleast_2d(etas)
     mask = task.consistency_mask(z, len(etas), EM_MAX_TUPLES)  # bounded before the product
-    return functools.reduce(np.multiply.outer, etas)[mask]
+    return label_space_product(etas)[mask]
 
 
 def estep_omega(task: Task, etas, z) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .posteriors import to_cumulative
+from .posteriors import parse_int, seeded_rng, to_cumulative
 
 ARCHITECTURES = ("linear", "mlp-300")
 HEADS = ("softmax", "sigmoid", "cumulative")
@@ -77,12 +77,12 @@ class Classifier:
             raise ValueError(f"unknown architecture {arch!r}")
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
-        if head == "sigmoid" and k != 2:
+        self.d = parse_int(d, "d", 1)
+        self.k = parse_int(k, "k", 1)
+        if head == "sigmoid" and self.k != 2:
             raise ValueError("the sigmoid head is binary: k must be 2")
         self.arch = arch
         self.head = head
-        self.d = int(d)
-        self.k = int(k)
         self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in layers]
         dims = _layer_dims(arch, self.d, self.out_dim)
         if len(self.layers) != len(dims) - 1:
@@ -98,9 +98,9 @@ class Classifier:
 
     @classmethod
     def create(cls, arch: str, head: str, d: int, k: int, seed: int = 0) -> "Classifier":
-        """Seeded Glorot-uniform initialization (Philox counter-based stream)."""
-        dims = _layer_dims(arch, d, 1 if head == "sigmoid" else k)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        """Seeded Glorot-uniform initialization (``seeded_rng``'s Philox stream)."""
+        dims = _layer_dims(arch, parse_int(d, "d", 1), 1 if head == "sigmoid" else parse_int(k, "k", 1))
+        rng = seeded_rng(seed)
         layers = [
             (_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out)) for fan_in, fan_out in zip(dims, dims[1:])
         ]

@@ -13,11 +13,13 @@ same quantities drive the group log-likelihood.
 
 There is one closed form per task plus ``brute_force_posterior``, which
 sums over every label tuple consistent with z and acts as the reference
-implementation for all of them. The label-proportion form is a dense
-dynamic program over the count box: one array holds a whole sweep, the
-suffix sweep contracts against the prefix, ``MAX_LLP_BOX`` bounds the cells;
-``pz_llp`` runs the prefix sweep alone. A bag's z is fixed, so each z's box
-plan is built once into a read-only cache of ``LLP_PLAN_CACHE_BYTES`` at most.
+implementation for all of them; it shares no kernel helper, only its own
+clipped outer product ``label_space_product`` with the EM bound's tuple masses.
+The label-proportion form is a dense dynamic program over the count box: one
+array holds a whole sweep, the suffix sweep contracts against the prefix,
+``MAX_LLP_BOX`` bounds the cells; ``pz_llp`` runs the prefix sweep alone. A
+bag's z is fixed, so each z's box plan is built once into a read-only cache of
+``LLP_PLAN_CACHE_BYTES`` at most.
 
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
@@ -57,6 +59,7 @@ PZ_FLOOR = PROB_EPS
 # int32 neighbour table and two float64 mass arrays over the count box. One
 # call at the bound peaks at 375 MB in tracemalloc (7.5 bytes per cell, k = 2).
 MAX_LLP_BOX = 5 * 10**7
+MAX_TUPLES = 10**7  # bound on the |labels|^m label tuples an enumeration reference builds
 # Bound on the bytes of the down tables _llp_plan keeps in _LLP_PLANS, least recently used first.
 LLP_PLAN_CACHE_BYTES = 2**25
 _LLP_PLANS: dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]] = {}
@@ -69,6 +72,22 @@ class GroupPosterior:
 
     pz: float
     joint: np.ndarray
+
+
+def parse_int(value, name: str, minimum: int | None = None) -> int:
+    """The whole-number rule: value as an int (numpy integers pass, floats do not), >= ``minimum`` if given."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return number
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The seeded stream: a Philox generator over ``SeedSequence(seed)``, the seed a whole number >= 0."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(parse_int(seed, "seed", 0))))
 
 
 def parse_bit(z) -> int:
@@ -340,29 +359,23 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     return task.spec.posterior(etas, z)  # the kernel checks z by the kind's rule
 
 
-def brute_force_posterior(task: Task, etas, z, max_tuples: int = 10**7) -> GroupPosterior:
+def label_space_product(etas) -> np.ndarray:
+    """prod_i eta[i][y_i] over every label tuple (axis i is y_i) of (m, k) etas clipped to [PROB_EPS, 1 - PROB_EPS]."""
+    etas = np.clip(np.asarray(etas, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    return functools.reduce(np.multiply.outer, etas)
+
+
+def brute_force_posterior(task: Task, etas, z, max_tuples: int = MAX_TUPLES) -> GroupPosterior:
     """Exact posterior by summing over every consistent label tuple.
 
     Reference implementation for all closed forms; cost is |labels|^m so a
     bound guards the enumeration. ``etas`` is per-class (m, k) exactly as
     in group_posterior; llp/mil accept any group size >= 2.
     """
-    etas = _clamp_probs(etas)
-    m, k = etas.shape
+    m, k = np.shape(etas)
     if k != task.k:
         raise ValueError(f"got {k} classes for a task with {task.k}")
-    consistent = task.consistency_mask(z, m, max_tuples)
-
-    mass = np.ones((1,) * m)
-    for i in range(m):
-        shape = [1] * m
-        shape[i] = k
-        mass = mass * etas[i].reshape(shape)
-    masked = np.where(consistent, mass, 0.0)
-
-    pz = float(masked.sum())
-    joint = np.empty((m, k))
-    for i in range(m):
-        for j in range(k):
-            joint[i, j] = masked.take(j, axis=i).sum()
-    return _finish(pz, joint)
+    consistent = task.consistency_mask(z, m, max_tuples)  # bounded before the product
+    masked = np.where(consistent, label_space_product(etas), 0.0)
+    joint = np.stack([masked.sum(axis=tuple(a for a in range(m) if a != i)) for i in range(m)])
+    return GroupPosterior(pz=float(masked.sum()), joint=joint)

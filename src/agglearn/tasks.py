@@ -68,13 +68,15 @@ class TaskSpec:
         """z checked for a group of m by the kind's rule, ``kernels.parse_counts`` or ``parse_bit``."""
         return kernels.parse_counts(z, m, k) if self.counts else kernels.parse_bit(z)
 
-    def check_group_size(self, m: int, kind: str) -> None:
-        """Raise unless a group of m instances fits the kind: its fixed m, or
-        any m >= 2 for the kinds that leave m free."""
+    def check_group_size(self, m: int, kind: str) -> int:
+        """m as an int when a group of m instances fits the kind: its fixed m, or
+        any m >= 2 for the kinds that leave m free; else ValueError."""
+        m = kernels.parse_int(m, "m")
         if self.m is not None and m != self.m:
             raise ValueError(f"task {kind!r} requires m={self.m}, got m={m}")
         if self.m is None and m < 2:
             raise ValueError(f"task {kind!r} requires m >= 2, got m={m}")
+        return m
 
 
 TASKS: dict[str, TaskSpec] = {
@@ -138,6 +140,7 @@ class Task:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {list(TASKS)}")
         spec = self.spec
         spec.check_group_size(self.m, self.kind)
+        kernels.parse_int(self.k, "k")
         if spec.k is not None and self.k != spec.k:
             raise ValueError(f"task {self.kind!r} requires k={spec.k}, got k={self.k}")
         if self.k < spec.min_k:
@@ -153,14 +156,13 @@ class Task:
         first = self.spec.first_label
         return tuple(range(first, first + self.k))
 
-    def consistency_mask(self, z, m: int | None = None, max_tuples: int = 10**7) -> np.ndarray:
+    def consistency_mask(self, z, m: int | None = None, max_tuples: int = kernels.MAX_TUPLES) -> np.ndarray:
         """Boolean tensor over the full label space of a group of m marking g(y_1..m) = z.
 
         Axis i indexes y_i by position in ``label_values``. Raises when the
         |labels|^m entries exceed max_tuples.
         """
-        m = self.m if m is None else int(m)
-        self.spec.check_group_size(m, self.kind)  # llp/mil groups may deviate from the task's m
+        m = self.spec.check_group_size(self.m if m is None else m, self.kind)  # llp/mil m may differ
         n = self.k
         if n**m > max_tuples:
             raise ValueError(f"label space {n}^{m} exceeds the enumeration bound {max_tuples}")
@@ -220,7 +222,7 @@ def enumerate_z(task: Task) -> list:
     return list(_compositions(task.m, task.k))
 
 
-def consistent_tuples(task: Task, z, max_tuples: int = 10**7, m: int | None = None) -> list[tuple[int, ...]]:
+def consistent_tuples(task: Task, z, max_tuples: int = kernels.MAX_TUPLES, m: int | None = None) -> list[tuple[int, ...]]:
     """All label tuples y_1..y_m with g(y_1..y_m) = z, in lexicographic order.
 
     The total label space has |labels|^m tuples; raises when that exceeds

@@ -39,7 +39,7 @@ import numpy as np
 from .data import GroupObservation, check_observations
 from .losses import DegenerateGroupError, aggregate_loss, compute_weights, loglik_loss
 from .models import AdamState, Classifier, adam_step
-from .posteriors import PZ_FLOOR, group_posterior
+from .posteriors import PZ_FLOOR, group_posterior, parse_int
 from .tasks import Task
 
 
@@ -61,12 +61,12 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        self.epochs = parse_int(self.epochs, "epochs", 1)
+        self.warmup_epochs = parse_int(self.warmup_epochs, "warmup_epochs")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        self.batch_size = parse_int(self.batch_size, "batch_size", 1)
+        self.seed = parse_int(self.seed, "seed", 0)
         if self.learning_rate is not None and not 0.0 < float(self.learning_rate) < np.inf:
             raise ValueError("learning_rate must be a positive finite number or None")
         if not 0.0 <= self.val_fraction < 1.0:

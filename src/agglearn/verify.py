@@ -27,7 +27,7 @@ import numpy as np
 
 from .losses import aggregate_loss, compute_weights, em_lower_bound, estep_omega, loglik_loss
 from .models import Classifier
-from .posteriors import brute_force_posterior, group_posterior
+from .posteriors import brute_force_posterior, group_posterior, seeded_rng
 from .tasks import TASKS, Task, aggregate_label, enumerate_z
 
 ORACLE_TOL = 1e-9
@@ -78,7 +78,7 @@ def random_z(task: Task, rng: np.random.Generator):
 
 def oracle_suite(trials: int = 200, seed: int = 0) -> dict:
     """Closed forms vs enumeration, marginalization, and Z-normalization."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     checks = []
     for kind in TASKS:
         dev_oracle = 0.0
@@ -138,7 +138,7 @@ def _exact_estimator_expectation(task, points, px, cond, losses) -> float:
 
 def unbiased_suite(classifiers: int = 20, seed: int = 0) -> dict:
     """Exact E[L_agg] equals the supervised risk on finite domains."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     checks = []
     for task in registered_tasks(m=3, k=3):
         deviation = 0.0
@@ -157,7 +157,7 @@ def unbiased_suite(classifiers: int = 20, seed: int = 0) -> dict:
 
 def em_suite(cases: int = 10, perturbations: int = 100, seed: int = 0) -> dict:
     """Jensen bound equality at the posterior responsibilities, and dominance."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     checks = []
     for task in registered_tasks(m=3, k=4):
         dev_equal = 0.0
@@ -213,7 +213,7 @@ def _fd_gradient_error(loss_fn, model: Classifier, grads, rng, coords_per_array:
 
 def grad_suite(seed: int = 0) -> dict:
     """Finite-difference validation of both losses on both architectures."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     checks = []
     for task in registered_tasks(m=4, k=3):
         worst = {"aggregate": 0.0, "loglik": 0.0}
