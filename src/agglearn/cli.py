@@ -26,7 +26,7 @@ import numpy as np
 from . import data as data_mod
 from .data import SyntheticSpec
 from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
-from .models import Classifier, load_checkpoint, valid_label_names
+from .models import ARCHITECTURES, Classifier, load_checkpoint, valid_label_names
 from .posteriors import brute_force_posterior, group_posterior, parse_int, seeded_rng
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
@@ -67,7 +67,7 @@ OPTIONS: dict[str, dict[str, dict | None]] = {
     },
     "train": {
         "obs": {}, "task": {}, "m": {"type": int}, "k": {"type": int},
-        "arch": {"choices": ["linear", "mlp-300"]}, "method": {"choices": ["uum", "loglik"]},
+        "arch": {"choices": list(ARCHITECTURES)}, "method": {"choices": ["uum", "loglik"]},
         "epochs": {"type": int},
         "warmup": {"type": int, "choices": [0, 1], "help": "log-likelihood warm-up phase"},
         "warmup_epochs": {"type": int},

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .posteriors import parse_int, seeded_rng
+from .posteriors import parse_int, parse_labels, seeded_rng
 from .tasks import TASKS, Task, aggregate_label
 
 
@@ -41,15 +41,13 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = parse_labels(self.labels, self.k)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
         if self.n == 0:
             raise ValueError("empty dataset")
-        if self.labels.min() < 1 or self.labels.max() > self.k:
-            raise ValueError(f"labels must lie in 1..{self.k}")
 
     @property
     def n(self) -> int:
@@ -88,9 +86,7 @@ class Dataset:
             if self.k > task.k:
                 raise ValueError(f"dataset has {self.k} classes but task expects at most {task.k}")
             return self.labels
-        positive = self.k if positive_label is None else positive_label
-        if not 1 <= positive <= self.k:
-            raise ValueError(f"positive label {positive} outside 1..{self.k}")
+        positive = self.k if positive_label is None else parse_labels(positive_label, self.k, name="positive label")
         return (self.labels == positive).astype(np.int64)
 
 
@@ -186,15 +182,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not features:
         raise ValueError(f"{path}: empty dataset")
-    names: list[str] = []
-    index = {}
-    labels = []
-    for name in raw_labels:
-        if name not in index:
-            index[name] = len(names) + 1
-            names.append(name)
-        labels.append(index[name])
-    return Dataset(np.array(features), np.array(labels), k=len(names), label_names=names)
+    index = {name: i for i, name in enumerate(dict.fromkeys(raw_labels), start=1)}  # first-appearance order
+    labels = [index[name] for name in raw_labels]
+    return Dataset(np.array(features), np.array(labels), k=len(index), label_names=list(index))
 
 
 @dataclass

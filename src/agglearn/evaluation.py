@@ -7,7 +7,9 @@ classes. The optimal assignment comes from solving a linear sum assignment
 problem on negated confusion counts; ties between equally good assignments
 break toward the lexicographically smallest permutation so results are
 reproducible. Only this solver needs scipy; it is imported on the first
-matched-accuracy call, so ``import agglearn`` loads numpy alone.
+matched-accuracy call, so ``import agglearn`` loads numpy alone. Labels and
+predictions are checked on entry by ``posteriors.parse_labels``, matchings
+as permutations of 0..k-1, confusion matrices as nonnegative integer counts.
 
 Bag (MIL) models are additionally scored at the group level: a bag is
 predicted positive when the model's posterior bag probability reaches 1/2.
@@ -23,6 +25,7 @@ import numpy as np
 
 from .data import GroupObservation, check_observations
 from .models import Classifier
+from .posteriors import WHOLE_KINDS, parse_labels
 from .tasks import TASKS, Task
 
 MAX_ASSIGNMENT_CLASSES = 64
@@ -43,18 +46,13 @@ def accuracy(preds, labels) -> float:
 
 def confusion_counts(preds, labels, k: int) -> np.ndarray:
     """k-by-k counts; entry (a, b) = #instances predicted class a+1 with true class b+1."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    preds = parse_labels(preds, k, name="prediction")
+    labels = parse_labels(labels, k)
     if preds.shape != labels.shape:
         raise ValueError("predictions and labels must have equal length")
     if preds.size == 0:
         raise ValueError("empty input")
-    for arr, name in ((preds, "prediction"), (labels, "label")):
-        if arr.min() < 1 or arr.max() > k:
-            raise ValueError(f"{name} outside 1..{k}")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (preds - 1, labels - 1), 1)
-    return counts
+    return np.bincount((preds - 1) * k + labels - 1, minlength=k * k).reshape(k, k)
 
 
 def _assignment_value(confusion: np.ndarray) -> int:
@@ -65,7 +63,7 @@ def _assignment_value(confusion: np.ndarray) -> int:
 
 
 def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
-    """Best-assignment accuracy and the permutation achieving it.
+    """Best-assignment accuracy and the permutation achieving it, over a matrix of nonnegative integer counts.
 
     Returns (fraction, perm) where perm[a] = b means predicted class a+1 is
     matched to true class b+1. Among assignments of equal value, perm is
@@ -76,6 +74,9 @@ def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
         raise ValueError("confusion matrix must be square")
+    if confusion.dtype.kind not in WHOLE_KINDS or np.any(confusion < 0):
+        raise ValueError(f"confusion matrix {confusion.tolist()} must hold nonnegative integer counts")
+    confusion = confusion.astype(np.int64, copy=False)
     k = confusion.shape[0]
     if k > MAX_ASSIGNMENT_CLASSES:
         raise ValueError(f"at most {MAX_ASSIGNMENT_CLASSES} classes supported")
@@ -127,11 +128,18 @@ def brute_force_matching(confusion) -> tuple[float, np.ndarray]:
     return best_value / float(total), np.array(best_perm, dtype=np.int64)
 
 
+def _permutation(perm, k) -> np.ndarray:
+    """perm as an int64 array when it is a permutation of 0..k-1, else ValueError naming it."""
+    entries = parse_labels(perm, k, first=0, name="perm entry")
+    if entries.shape != (k,) or np.unique(entries).size != k:
+        raise ValueError(f"perm {entries.tolist()} is not a permutation of 0..{k - 1}")
+    return entries
+
+
 def apply_permutation(preds, perm) -> np.ndarray:
-    """Relabel 1-based predictions through perm (perm[a] = matched class index)."""
-    preds = np.asarray(preds, dtype=np.int64)
-    perm = np.asarray(perm, dtype=np.int64)
-    return perm[preds - 1] + 1
+    """Relabel 1-based predictions through perm (perm[a] = matched class index), a permutation of 0..k-1."""
+    perm = _permutation(perm, np.size(perm))
+    return perm[parse_labels(preds, perm.size, name="prediction") - 1] + 1
 
 
 def matched_accuracy(preds, labels, k: int, perm=None) -> tuple[float, np.ndarray]:
@@ -142,8 +150,8 @@ def matched_accuracy(preds, labels, k: int, perm=None) -> tuple[float, np.ndarra
     """
     if perm is None:
         return modified_accuracy(confusion_counts(preds, labels, k))
-    perm = np.asarray(perm, dtype=np.int64)
-    return accuracy(apply_permutation(preds, perm), labels), perm
+    perm = _permutation(perm, k)
+    return accuracy(apply_permutation(preds, perm), parse_labels(labels, k)), perm
 
 
 def group_accuracy_mil(

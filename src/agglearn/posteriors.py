@@ -60,6 +60,7 @@ PZ_FLOOR = PROB_EPS
 # call at the bound peaks at 375 MB in tracemalloc (7.5 bytes per cell, k = 2).
 MAX_LLP_BOX = 5 * 10**7
 MAX_TUPLES = 10**7  # bound on the |labels|^m label tuples an enumeration reference builds
+WHOLE_KINDS = "biu"  # numpy dtype kinds whose entries parse_int takes: bools and integers
 # Bound on the bytes of the down tables _llp_plan keeps in _LLP_PLANS, least recently used first.
 LLP_PLAN_CACHE_BYTES = 2**25
 _LLP_PLANS: dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]] = {}
@@ -83,6 +84,17 @@ def parse_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return number
+
+
+def parse_labels(values, k, first: int = 1, name: str = "label") -> np.ndarray:
+    """The instance-label rule: values as int64, each a whole number in first..first+k-1, else ValueError."""
+    last = first + parse_int(k, "k", 1) - 1
+    labels = np.asarray(values)
+    whole = labels.dtype.kind in WHOLE_KINDS
+    bad = np.flatnonzero((labels < first) | (labels > last)) if whole else range(labels.size)
+    if len(bad):
+        raise ValueError(f"{name} {labels.ravel().tolist()[bad[0]]!r} is not an integer in {first}..{last}")
+    return labels.astype(np.int64, copy=False)
 
 
 def seeded_rng(seed) -> np.random.Generator:

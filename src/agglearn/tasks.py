@@ -179,14 +179,10 @@ def aggregate_label(task: Task, labels):
 
     Returns 0/1 for the indicator tasks and a tuple of k counts for llp.
     """
-    labels = tuple(int(y) for y in labels)
-    if len(labels) != task.m:
-        raise ValueError(f"expected {task.m} labels for task {task.kind!r}, got {len(labels)}")
-    valid = set(task.label_values)
-    for y in labels:
-        if y not in valid:
-            raise ValueError(f"label {y} outside the task's label set {sorted(valid)}")
-    parts = tuple(int(p) for p in task.spec.g(labels, task.k))
+    labels = kernels.parse_labels(labels, task.k, task.spec.first_label)
+    if labels.shape != (task.m,):
+        raise ValueError(f"expected {task.m} labels for task {task.kind!r}, got shape {labels.shape}")
+    parts = tuple(int(p) for p in task.spec.g(tuple(labels.tolist()), task.k))
     return parts if task.spec.counts else parts[0]
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import aggregate_loss, compute_weights, em_lower_bound, estep_omega, loglik_loss
-from .models import Classifier
+from .models import ARCHITECTURES, Classifier
 from .posteriors import brute_force_posterior, group_posterior, seeded_rng
 from .tasks import TASKS, Task, aggregate_label, enumerate_z
 
@@ -217,7 +217,7 @@ def grad_suite(seed: int = 0) -> dict:
     checks = []
     for task in registered_tasks(m=4, k=3):
         worst = {"aggregate": 0.0, "loglik": 0.0}
-        for arch in ("linear", "mlp-300"):
+        for arch in ARCHITECTURES:
             model = Classifier.create(arch, task.spec.head, d=3, k=task.k, seed=int(rng.integers(0, 2**31)))
             xs = rng.normal(size=(task.m, 3))
             z = random_z(task, rng)
