@@ -87,6 +87,8 @@ class Dataset:
                 raise ValueError(f"dataset has {self.k} classes but task expects at most {task.k}")
             return self.labels
         positive = self.k if positive_label is None else parse_labels(positive_label, self.k, name="positive label")
+        if np.ndim(positive):
+            raise ValueError(f"positive label {positive.tolist()!r} must be a single class in 1..{self.k}")
         return (self.labels == positive).astype(np.int64)
 
 

@@ -3,13 +3,14 @@
 Pairwise and triplet supervision cannot identify which output unit is
 which semantic class, so those tasks are scored by *matched accuracy*:
 accuracy maximized over all assignments of predicted classes to true
-classes. The optimal assignment comes from solving a linear sum assignment
-problem on negated confusion counts; ties between equally good assignments
-break toward the lexicographically smallest permutation so results are
-reproducible. Only this solver needs scipy; it is imported on the first
-matched-accuracy call, so ``import agglearn`` loads numpy alone. Labels and
-predictions are checked on entry by ``posteriors.parse_labels``, matchings
-as permutations of 0..k-1, confusion matrices as nonnegative integer counts.
+classes. One exact assignment solve (the Hungarian method, Kuhn 1955, in
+Python integers) finds it: cost[a][b] = b*k**(k-1-a) - counts[a][b]*k**k.
+One matched count outweighs the whole tie-break term, which is the
+permutation read as a base-k number, so ties between equally good
+assignments break toward the lexicographically smallest permutation and
+results are reproducible; scoring loads numpy alone. Labels and predictions
+are checked on entry by ``posteriors.parse_labels``, matchings as
+permutations of 0..k-1, confusion matrices as nonnegative integer counts.
 
 Bag (MIL) models are additionally scored at the group level: a bag is
 predicted positive when the model's posterior bag probability reaches 1/2.
@@ -20,6 +21,7 @@ comparison but off by default.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,11 +57,32 @@ def confusion_counts(preds, labels, k: int) -> np.ndarray:
     return np.bincount((preds - 1) * k + labels - 1, minlength=k * k).reshape(k, k)
 
 
-def _assignment_value(confusion: np.ndarray) -> int:
-    from scipy.optimize import linear_sum_assignment  # here, so only matched accuracy loads scipy (~50 MB)
-
-    rows, cols = linear_sum_assignment(-confusion)
-    return int(confusion[rows, cols].sum())
+def _hungarian(cost: list[list[int]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square cost matrix (Kuhn 1955, with potentials)."""
+    n = len(cost)
+    u, v, way, owner = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)  # owner[j]: row of column j
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, used = [math.inf] * (n + 1), [False] * (n + 1)  # inf only until first scanned: sums stay ints
+        while owner[j0]:
+            used[j0], row, delta, j1 = True, owner[j0], math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[row - 1][j - 1] - u[row] - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    return [j for _, j in sorted(zip(owner[1:], range(n)))]
 
 
 def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
@@ -67,9 +90,8 @@ def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
 
     Returns (fraction, perm) where perm[a] = b means predicted class a+1 is
     matched to true class b+1. Among assignments of equal value, perm is
-    the lexicographically smallest, fixed greedily one row at a time: a
-    column is kept iff the best completion on the remaining rows/columns
-    still reaches the global optimum.
+    the lexicographically smallest: the solve minimizes perm read as a
+    base-k number, a term smaller than the weight k**k of one matched count.
     """
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
@@ -84,26 +106,9 @@ def modified_accuracy(confusion) -> tuple[float, np.ndarray]:
     if total == 0:
         raise ValueError("empty confusion matrix")
 
-    best = _assignment_value(confusion)
-    perm = np.full(k, -1, dtype=np.int64)
-    free_cols = list(range(k))
-    fixed_value = 0
-    remaining = confusion
-    for a in range(k):
-        for idx, b in enumerate(free_cols):
-            sub = np.delete(remaining[1:], idx, axis=1)
-            achievable = fixed_value + int(confusion[a, b])
-            if sub.size:
-                achievable += _assignment_value(sub)
-            if achievable == best:
-                perm[a] = b
-                fixed_value += int(confusion[a, b])
-                free_cols.pop(idx)
-                remaining = np.delete(remaining[1:], idx, axis=1)
-                break
-        else:
-            raise AssertionError("no column preserved the optimal value")
-    return best / float(total), perm
+    perm = np.array(_hungarian([[b * k ** (k - 1 - a) - n * k**k for b, n in enumerate(row)]
+                                for a, row in enumerate(confusion.tolist())]), dtype=np.int64)
+    return int(confusion[np.arange(k), perm].sum()) / float(total), perm
 
 
 def brute_force_matching(confusion) -> tuple[float, np.ndarray]:

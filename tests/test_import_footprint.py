@@ -1,8 +1,10 @@
-"""What a training process loads: numpy alone, no scipy.
+"""What a training and scoring process loads: numpy alone, no scipy.
 
-scipy is about 50 MB of resident memory and a third of a second of start-up,
-and only matched accuracy (the assignment solver) needs it. The check runs
-in a fresh interpreter, since this test process has loaded scipy already.
+scipy is about 50 MB of resident memory and half a second of start-up.
+Matched accuracy solves its assignment in pure Python, so no run-time path
+needs it. The checks run in a fresh interpreter, since this test process
+may have loaded scipy already: once watching ``sys.modules``, and once with
+a ``scipy`` that cannot be imported first on the path.
 """
 
 import json
@@ -37,17 +39,31 @@ for i, (task, model, cfg) in enumerate(runs):
     accuracy(model.predict(data.features), data.task_labels(task, positive_label=2))
     if task.kind == "mil":
         group_accuracy_mil(model, obs)
-before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+before = scipy_modules()
 matched_accuracy(runs[0][1].predict(data.features), data.labels, 2)
-print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules}))
+print(json.dumps({"before": before, "after": scipy_modules()}))
 """
 
 
-def test_training_and_scoring_load_no_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def run_child(tmp_path, *path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [*path, str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_training_and_scoring_load_no_scipy(tmp_path):
+    seen = run_child(tmp_path)
     assert seen["before"] == []
-    assert seen["after"]  # matched accuracy loads the solver on its first call
+    assert not seen["after"]  # matched accuracy solves its assignment without scipy
+
+
+def test_training_and_scoring_run_where_scipy_cannot_import(tmp_path):
+    stub = tmp_path / "stub" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("scipy is not a run-time dependency of agglearn")\n')
+    seen = run_child(tmp_path, str(stub.parent))
+    assert seen == {"before": [], "after": []}

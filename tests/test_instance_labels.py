@@ -100,6 +100,16 @@ class TestCallers:
             ds.task_labels(Task("mil", 2, 2), 3)
         np.testing.assert_array_equal(ds.task_labels(Task("mil", 2, 2), np.int64(1)), [1, 0, 0])
 
+    def test_positive_label_in_a_list_is_refused(self):
+        ds = Dataset(np.zeros((4, 1)), [1, 2, 2, 1], k=2)
+        with pytest.raises(ValueError, match=r"^positive label \[\[2\]\] must be a single class in 1\.\.2$"):
+            ds.task_labels(Task("mil", 2, 2), [[2]])
+
+    def test_two_positive_labels_are_refused(self):
+        ds = Dataset(np.zeros((4, 1)), [1, 2, 2, 1], k=2)
+        with pytest.raises(ValueError, match=r"^positive label \[1, 2\] must be a single class in 1\.\.2$"):
+            ds.task_labels(Task("mil", 2, 2), [1, 2])
+
     def test_aggregate_label_checks_the_task_alphabet(self):
         with pytest.raises(ValueError, match=r"^label 1\.7 is not an integer in 1\.\.3$"):
             aggregate_label(Task("pairwise", 2, 3), [1.7, 1])
