@@ -7,8 +7,12 @@ For each workload of ``perfbench/workloads.py`` the script draws the inputs for
 then builds the model and trains once with the workload's config. The digest
 covers the epoch records, the best epoch, the final parameter bytes and the
 cached eta bytes, so two source trees that print the same lines train
-bit-identically on the benchmark's inputs. BLAS runs on one thread, as in the
-benchmark. Nothing under ``perfbench/`` is written to. Exit code 0.
+bit-identically on the benchmark's inputs. After the training lines, one
+``<workload> predictions <sha256>`` line per workload covers the trained
+model's predicted labels on the workload's labelled validation and test splits
+(``workloads.labelled_splits``), so scoring can be compared the same way. BLAS
+runs on one thread, as in the benchmark. Nothing under ``perfbench/`` is
+written to. Exit code 0.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from agglearn.data import load_observations  # noqa: E402
 from agglearn.training import train  # noqa: E402
-from workloads import WORKLOADS, write_observations  # noqa: E402
+from workloads import WORKLOADS, labelled_splits, write_observations  # noqa: E402
 
 
-def digest(name: str, seed: int, directory: str) -> str:
-    """sha256 of one training run of workload ``name`` on its inputs for ``seed``."""
+def digest(name: str, seed: int, directory: str) -> tuple[str, str]:
+    """sha256 of one training run of workload ``name`` on its inputs for ``seed``,
+    and sha256 of the trained model's predicted labels on its labelled splits."""
     w = WORKLOADS[name]
     path = os.path.join(directory, f"{name}.jsonl")
     write_observations(w, seed, path)
@@ -45,16 +50,23 @@ def digest(name: str, seed: int, directory: str) -> str:
         h.update(array.tobytes())
     if result.confidence is not None:
         h.update(result.confidence.tobytes())
-    return h.hexdigest()
+    labels = hashlib.sha256()
+    for split in labelled_splits(w, seed):
+        labels.update(result.model.predict(split.features).astype("<i8").tobytes())
+    return h.hexdigest(), labels.hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    predictions = []
     with tempfile.TemporaryDirectory() as directory:
         for name in WORKLOADS:
-            print(f"{name} {digest(name, args.seed, directory)}", flush=True)
+            training, labels = digest(name, args.seed, directory)
+            print(f"{name} {training}", flush=True)
+            predictions.append(f"{name} predictions {labels}")
+    print("\n".join(predictions), flush=True)
     return 0
 
 

@@ -14,7 +14,9 @@ probabilities:
                  construction).
 
 All arithmetic is float64: the verification suites compare against
-enumeration oracles at 1e-9 tolerances.
+enumeration oracles at 1e-9 tolerances. Passes without a gradient run their
+rows in chunks of ``STACK_CELLS`` activation cells, so scoring a whole split
+holds one chunk's hidden layer, not n x 300.
 
 Checkpoints are a JSON document: schema version, architecture descriptor,
 head, dimensions, and the raw parameter arrays.
@@ -35,7 +37,8 @@ HEADS = ("softmax", "sigmoid", "cumulative")
 HIDDEN_UNITS = 300
 CHECKPOINT_SCHEMA = 1
 
-# Cells of the widest activation per stacked chunk (``group_stacks``): 512 KB of float64.
+# Cells of the widest activation per stacked chunk (``group_stacks``) and per row
+# chunk of a no-gradient forward (``chunk_rows``): 512 KB of float64.
 STACK_CELLS = 2**16
 
 # Optimizer defaults: adaptive moments with zero weight decay; the step
@@ -140,23 +143,34 @@ class Classifier:
             raise ValueError(f"input dimension {x.shape[-1]} != model dimension {self.d}")
         return x
 
+    def chunk_rows(self) -> int:
+        """Rows per STACK_CELLS chunk: the cell bound over the widest activation."""
+        return max(1, STACK_CELLS // max(*_layer_dims(self.arch, self.d, self.out_dim), self.k))
+
     def group_stacks(self, xs):
         """Yield (indices, (G, m, d) stack) over (m, d) groups: equal sizes in input
         order, chunked by STACK_CELLS. A stacked forward repeats each group's own
         GEMM, so it gives the per-group bits; a flat (G*m, d) GEMM would not."""
-        width = max(*_layer_dims(self.arch, self.d, self.out_dim), self.k)
         sizes = [len(x) for x in xs]
         for m in dict.fromkeys(sizes):
             idx = [i for i, size in enumerate(sizes) if size == m]
-            step = max(1, STACK_CELLS // (m * width))
+            step = max(1, self.chunk_rows() // m)
             for chunk in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
                 yield chunk, np.stack([xs[i] for i in chunk])
 
     def forward(self, x) -> np.ndarray:
-        """Logits (n, out_dim) or (G, m, out_dim); a vector input gives (out_dim,)."""
-        single = np.asarray(x).ndim == 1
-        logits, _ = self.forward_cached(x)
-        return logits[0] if single else logits
+        """Logits (n, out_dim) or (G, m, out_dim); a vector input gives (out_dim,).
+        Rows (axis -2) run in ``chunk_rows`` chunks, one ``forward_cached`` each, so
+        a stack's group g gets the bits of x[g] alone."""
+        x = np.asarray(x, dtype=np.float64)
+        rows = self.chunk_rows()
+        if x.ndim < 2 or x.shape[-2] <= rows:
+            logits, _ = self.forward_cached(x)
+            return logits[0] if x.ndim == 1 else logits
+        logits = np.empty(x.shape[:-1] + (self.out_dim,))
+        for lo in range(0, x.shape[-2], rows):
+            logits[..., lo : lo + rows, :] = self.forward_cached(x[..., lo : lo + rows, :])[0]
+        return logits
 
     def forward_cached(self, x: np.ndarray):
         """Logits plus the cache ``backward`` consumes: the input of each layer.
