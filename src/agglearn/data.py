@@ -4,7 +4,7 @@ Randomness policy: every stochastic operation takes an explicit seed and
 draws from ``posteriors.seeded_rng``, the one constructor of the Philox
 counter-based 64-bit generator (via numpy's ``Generator``) over a whole-number
 seed >= 0, so identical seeds give bit-identical output on any platform.
-Independent streams are derived with ``SeedSequence.spawn``.
+Independent streams are derived with ``Generator.spawn``.
 
 On-disk formats:
 
@@ -238,12 +238,25 @@ def sample_groups(
 
 
 def save_observations(observations: list[GroupObservation], path) -> None:
-    """Write groups as JSON lines ({"xs", "z", "task"} per line)."""
+    """Write groups as JSON lines ({"xs", "z", "task"}), each z parsed by ``_kind_z`` before the file opens."""
+    zs = [_kind_z(obs, index=i) for i, obs in enumerate(observations)]
     with open(path, "w", encoding="utf-8") as fh:
-        for obs in observations:
-            z = list(obs.z) if isinstance(obs.z, (tuple, list)) else int(obs.z)
-            doc = {"xs": obs.xs.tolist(), "z": z, "task": obs.task_kind}
-            fh.write(json.dumps(doc) + "\n")
+        for obs, z in zip(observations, zs):
+            fh.write(json.dumps({"xs": obs.xs.tolist(), "z": z, "task": obs.task_kind}) + "\n")
+
+
+def _kind_z(obs: GroupObservation, k: int | None = None, index: int | None = None):
+    """obs.z by the rules of its kind: a registered kind, a group size it allows, a label its ``parse_z``
+    takes (of k counts, if given). A ValueError names observation ``index`` when one is given."""
+    try:
+        if not isinstance(obs.task_kind, str) or obs.task_kind not in TASKS:
+            raise ValueError(f"unknown task kind {obs.task_kind!r}")
+        TASKS[obs.task_kind].check_group_size(obs.m, obs.task_kind)
+        return TASKS[obs.task_kind].parse_z(obs.z, obs.m, k)
+    except ValueError as exc:
+        if index is None:
+            raise
+        raise ValueError(f"observation {index}: {exc}") from None
 
 
 # raw_decode on stripped lines skips the two whitespace scans of json.loads,
@@ -259,14 +272,11 @@ def _parse_observation(line: str) -> GroupObservation:
         xs, z, kind = doc["xs"], doc["z"], doc["task"]
     except (KeyError, TypeError):
         raise ValueError('expected a JSON object with keys "xs", "z" and "task"') from None
-    if not isinstance(kind, str) or kind not in TASKS:
-        raise ValueError(f"unknown task kind {kind!r}")
     try:
         obs = GroupObservation(xs=xs, z=z, task_kind=kind)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
-    TASKS[kind].check_group_size(obs.m, kind)
-    obs.z = TASKS[kind].parse_z(z, obs.m)
+    obs.z = _kind_z(obs)
     return obs
 
 
@@ -320,18 +330,13 @@ def first_nonfinite(observations: list[GroupObservation]) -> int | None:
 def check_observations(observations: list[GroupObservation], task: Task, d: int) -> list:
     """Each group's aggregate label parsed by the task's rule. Raises ValueError naming the
     first observation whose kind, feature width d, size, label or features do not fit."""
-    spec = task.spec
     zs = []
     for i, obs in enumerate(observations):
         if obs.task_kind != task.kind:
             raise ValueError(f"observation {i} is for task {obs.task_kind!r}, not {task.kind!r}")
         if obs.xs.shape[1] != d:
             raise ValueError(f"observation {i} has {obs.xs.shape[1]} features, the model takes {d}")
-        try:
-            spec.check_group_size(obs.m, task.kind)
-            zs.append(spec.parse_z(obs.z, obs.m, task.k))
-        except ValueError as exc:
-            raise ValueError(f"observation {i}: {exc}") from None
+        zs.append(_kind_z(obs, task.k, i))
     if observations and (bad := first_nonfinite(observations)) is not None:
         raise ValueError(f"observation {bad} has a non-finite feature value")
     return zs

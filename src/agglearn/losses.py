@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Classifier
-from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior, label_space_product
+from .posteriors import PROB_EPS, PZ_FLOOR, GroupPosterior, group_posterior, label_space_product, parse_probs
 from .tasks import Task
 
 # The EM bound enumerates S(z) explicitly, so it only supports small groups.
@@ -118,7 +118,7 @@ def loglik_loss(task: Task, xs, z, model: Classifier):
 def _tuple_masses(task: Task, etas, z) -> np.ndarray:
     """prod_i eta[i][y_i] over clipped (m, k) etas for each y in S(z), entries aligned with
     ``consistent_tuples(task, z)``: the masked ``label_space_product`` of the rows."""
-    etas = np.atleast_2d(etas)
+    etas = parse_probs(etas, task.k)
     mask = task.consistency_mask(z, len(etas), EM_MAX_TUPLES)  # bounded before the product
     return label_space_product(etas)[mask]
 

@@ -13,8 +13,8 @@ same quantities drive the group log-likelihood.
 
 There is one closed form per task plus ``brute_force_posterior``, which
 sums over every label tuple consistent with z and acts as the reference
-implementation for all of them; it shares no kernel helper, only its own
-clipped outer product ``label_space_product`` with the EM bound's tuple masses.
+implementation for all of them; it shares only the row check ``parse_probs``
+with the kernels, and its own clipped outer product ``label_space_product`` with the EM bound's tuple masses.
 The label-proportion form is a dense dynamic program over the count box: one
 array holds a whole sweep, the suffix sweep contracts against the prefix,
 ``MAX_LLP_BOX`` bounds the cells; ``pz_llp`` runs the prefix sweep alone. A
@@ -123,6 +123,18 @@ def parse_counts(z, m: int, k: int | None = None) -> tuple[int, ...]:
     return counts
 
 
+def parse_probs(etas, k: int | None = None) -> np.ndarray:
+    """The probability-row rule: etas as float64 (m, k) rows (k given or not), each summing to 1 within 1e-6, else ValueError."""
+    etas = np.asarray(etas, dtype=np.float64)
+    if etas.ndim != 2:
+        raise ValueError("etas must be (m, k)")
+    if k is not None and etas.shape[1] != k:
+        raise ValueError(f"got {etas.shape[1]} classes for a task with {k}")
+    if not (np.abs(etas.sum(axis=1) - 1.0) <= 1e-6).all():  # NaN fails every comparison
+        raise ValueError("each probability row must sum to 1")
+    return etas
+
+
 def _clamp_probs(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
     return np.minimum(np.maximum(eta, PROB_EPS), 1.0 - PROB_EPS)  # np.clip's bits, less overhead
@@ -190,7 +202,7 @@ def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
     per-class agreement products.
     """
-    return indicator(pairwise_event, 1)["posterior"]([eta1, eta2], z)
+    return indicator(pairwise_event, 1)["posterior"](parse_probs([eta1, eta2]), z)
 
 
 def triplet_event(etas):
@@ -203,7 +215,7 @@ def triplet_event(etas):
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    return indicator(triplet_event, 1)["posterior"]([eta1, eta2, eta3], z)
+    return indicator(triplet_event, 1)["posterior"](parse_probs([eta1, eta2, eta3]), z)
 
 
 def mil_event(etas):
@@ -220,9 +232,7 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     forces every instance negative, so p(z=0) is the product of the
     negative probabilities and every z=0 joint row is (p(z=0), 0).
     """
-    if np.ndim(etas) != 2 or np.shape(etas)[1] != 2:
-        raise ValueError("MIL expects (m, 2) probabilities over classes {0, 1}")
-    return indicator(mil_event, 0)["posterior"](etas, z)
+    return indicator(mil_event, 0)["posterior"](parse_probs(etas, 2), z)
 
 
 def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -278,7 +288,12 @@ def _llp_prefix(etas: np.ndarray, z):
 
 
 def posterior_llp(etas, z) -> GroupPosterior:
-    """Label-proportion counts, m>=2: z[j] = number of instances of class j.
+    """Label-proportion counts, m>=2: z[j] = number of instances of class j; ``llp_kernel`` on checked rows."""
+    return llp_kernel(parse_probs(etas), z)
+
+
+def llp_kernel(etas, z) -> GroupPosterior:
+    """``posterior_llp`` on rows already checked, the registry's llp entry.
 
     A dense dynamic program over the count box prod_j [0, z_j]. Count vector
     c is reached after exactly |c| instances, so one box-sized array holds a
@@ -360,14 +375,8 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     task's label order ((0,1) for MIL, 1..k otherwise); ordinal tasks are
     converted to cumulative form internally.
     """
-    etas = np.asarray(etas, dtype=np.float64)
-    if etas.ndim != 2:
-        raise ValueError("etas must be (m, k)")
+    etas = parse_probs(etas, task.k)
     task.spec.check_group_size(etas.shape[0], task.kind)
-    if etas.shape[1] != task.k:
-        raise ValueError(f"got {etas.shape[1]} classes for a task with {task.k}")
-    if not (np.abs(etas.sum(axis=1) - 1.0) <= 1e-6).all():  # NaN fails every comparison
-        raise ValueError("each probability row must sum to 1")
     return task.spec.posterior(etas, z)  # the kernel checks z by the kind's rule
 
 
@@ -384,10 +393,8 @@ def brute_force_posterior(task: Task, etas, z, max_tuples: int = MAX_TUPLES) -> 
     bound guards the enumeration. ``etas`` is per-class (m, k) exactly as
     in group_posterior; llp/mil accept any group size >= 2.
     """
-    m, k = np.shape(etas)
-    if k != task.k:
-        raise ValueError(f"got {k} classes for a task with {task.k}")
-    consistent = task.consistency_mask(z, m, max_tuples)  # bounded before the product
-    masked = np.where(consistent, label_space_product(etas), 0.0)
-    joint = np.stack([masked.sum(axis=tuple(a for a in range(m) if a != i)) for i in range(m)])
+    etas = parse_probs(etas, task.k)  # checked, never changed: the oracle's arithmetic is its own
+    consistent = task.consistency_mask(z, len(etas), max_tuples)  # bounded before the product
+    masked = np.where(consistent, label_space_product(etas), 0.0)  # axis i is y_i
+    joint = np.stack([masked.sum(axis=tuple(a for a in range(masked.ndim) if a != i)) for i in range(masked.ndim)])
     return GroupPosterior(pz=float(masked.sum()), joint=joint)

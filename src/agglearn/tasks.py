@@ -45,7 +45,7 @@ class TaskSpec:
     too) and the class count k to the components of z, elementwise: one
     0/1 component for the indicator tasks, k counts for label proportions.
     ``posterior`` is the closed form p(z | group), p(z, y_i = j | group)
-    for validated per-class probabilities (m, k) and a z it checks by ``parse_z``'s rule.
+    for per-class rows (m, k) that passed ``parse_probs`` and a z it checks by ``parse_z``'s rule.
     ``pz`` is p(z | group) alone, shape (G,), for groups stacked as (G, m, k)
     and G validated labels; each entry equals ``posterior(...).pz`` bit for bit.
     """
@@ -97,7 +97,7 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "llp": TaskSpec(
         g=lambda y, k: (sum(a == j for a in y) for j in range(1, k + 1)),
-        posterior=kernels.posterior_llp,
+        posterior=kernels.llp_kernel,
         pz=kernels.pz_llp,
         counts=True,
         warmup=False,

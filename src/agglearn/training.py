@@ -39,7 +39,7 @@ import numpy as np
 from .data import GroupObservation, check_observations
 from .losses import DegenerateGroupError, aggregate_loss, compute_weights, loglik_loss
 from .models import AdamState, Classifier, adam_step
-from .posteriors import PZ_FLOOR, group_posterior, parse_int
+from .posteriors import PZ_FLOOR, group_posterior, parse_int, seeded_rng
 from .tasks import Task
 
 
@@ -163,9 +163,7 @@ def train(
     if model.k != task.k:
         raise ValueError(f"model has {model.k} classes for a task with {task.k}")
 
-    seed_split, seed_shuffle = np.random.SeedSequence(config.seed).spawn(2)
-    rng_split = np.random.Generator(np.random.Philox(seed_split))
-    rng_shuffle = np.random.Generator(np.random.Philox(seed_shuffle))
+    rng_split, rng_shuffle = seeded_rng(config.seed).spawn(2)
 
     order = rng_split.permutation(len(observations))
     n_val = int(round(config.val_fraction * len(observations)))
