@@ -80,6 +80,102 @@ MUTANTS = [
     Mutant("src/agglearn/data.py",
            '"z": z, "task": obs.task_kind', '"z": obs.z, "task": obs.task_kind',
            "killed"),
+    # the observation-file rule, data.check_observation_file, run by save and by load
+    Mutant("src/agglearn/data.py",
+           "            if obs.task_kind != kind:\n"
+           '                raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "            if obs.xs.shape[1] != width:\n"
+           '                raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "            if z_len != counts:\n"
+           '                raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           '    if not zs:\n        raise ValueError(f"no observations in {source}")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "    if (bad := first_nonfinite([obs.xs for obs in checked])) is not None:\n"
+           '        raise ValueError(f"{prefix}{keys[bad]}: non-finite feature value")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           '    _, zs = check_observation_file(enumerate(observations), "observation ", "the list to save")\n',
+           "    zs = [obs.z for obs in observations]\n",
+           "killed"),
+    # datasets: the Dataset checks, the CSV header rule and load_csv's non-finite row
+    Mutant("src/agglearn/data.py",
+           "        if (bad := first_nonfinite(self.features)) is not None:\n"
+           '            raise ValueError(f"feature row {bad} has a non-finite value")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "if not valid_label_names(self.label_names, self.k):", "if not valid_label_names(self.label_names):",
+           "killed"),
+    Mutant("src/agglearn/models.py",
+           "and len(set(names)) == len(names) == (k or len(names))", "and len(names) == (k or len(names))",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "if (count := header.count(label_column)) != 1:", "if (count := header.count(label_column)) == 0:",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           '    if len(header) < 2:\n        raise ValueError(f"{where}header {header} has no feature column")\n', "",
+           "killed"),
+    Mutant("src/agglearn/data.py",
+           "    if (bad := first_nonfinite(features)) is not None:\n"
+           '        raise ValueError(f"{path}:{line_nos[bad]}: non-numeric feature: non-finite value")\n', "",
+           "killed"),
+    # checkpoints: Classifier.save refuses what load_checkpoint refuses
+    Mutant("src/agglearn/models.py",
+           "        if own := sorted(doc.keys() & (extra or {}).keys()):\n"
+           '            raise ValueError(f"extra key {own[0]!r} names a checkpoint field")\n', "",
+           "killed"),
+    Mutant("src/agglearn/models.py",
+           "        doc.update(extra or {})\n"
+           '        if not valid_label_names(doc.get("label_names")):\n'
+           '            raise ValueError("label_names must be null or a list of distinct strings")\n',
+           "        doc.update(extra or {})\n",
+           "killed"),
+    # the CLI's config and usage checks
+    Mutant("src/agglearn/cli.py",
+           "unknown = sorted(set(config) - set(options))", "unknown = []",
+           "killed"),
+    Mutant("src/agglearn/cli.py",
+           'if typed not in flag.get("choices", [0, 1] if switch else [typed]):',
+           "if switch and typed not in [0, 1]:",
+           "killed"),
+    Mutant("src/agglearn/cli.py",
+           "        value = int(value)\n", "        pass\n",
+           "killed"),
+    Mutant("src/agglearn/cli.py",
+           "ok = resolved[key] is None or np.asarray(resolved[key], dtype=np.float64).shape == shape",
+           "ok = True",
+           "killed"),
+    Mutant("src/agglearn/cli.py",
+           '    if m is None:\n        raise UsageError(f"task {kind!r} needs an explicit --m")\n', "",
+           "killed"),
+    Mutant("src/agglearn/cli.py",
+           "        if not valid_label_names(label_names):\n"
+           '            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")\n', "",
+           "killed"),
+    # the assignment solve behind matched accuracy
+    Mutant("src/agglearn/evaluation.py",
+           "                    u[owner[j]] += delta\n", "                    u[owner[j]] -= delta\n",
+           "killed"),
+    Mutant("src/agglearn/evaluation.py",
+           "    return [j for _, j in sorted(zip(owner[1:], range(n)))]",
+           "    return [owner[j] - 1 for j in range(1, n + 1)]",
+           "killed"),
+    # the LLP plan cache: least recently used first, bounded in bytes
+    Mutant("src/agglearn/posteriors.py",
+           "            _LLP_PLANS[z] = _LLP_PLANS.pop(z)\n", "",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "if plan[1].nbytes <= LLP_PLAN_CACHE_BYTES:", "if True:",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "del _LLP_PLANS[next(iter(_LLP_PLANS))]", "del _LLP_PLANS[next(reversed(_LLP_PLANS))]",
+           "killed"),
     # equivalent, or nearly so
     Mutant("src/agglearn/training.py",
            "            val_metric = likelihood / n_train\n",

@@ -259,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if os.path.exists(obs_meta):
         label_names = _read_object(obs_meta, "observation meta file").get("label_names")
         if not valid_label_names(label_names):
-            raise UsageError(f"{obs_meta}: label_names must be null or a list of strings")
+            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head

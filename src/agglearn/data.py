@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import valid_label_names
 from .posteriors import parse_int, parse_labels, seeded_rng
 from .tasks import TASKS, Task, aggregate_label
 
 
 @dataclass
 class Dataset:
-    """Feature matrix (n, d) with integer labels in 1..k."""
+    """Finite feature matrix (n, d) with integer labels in 1..k, and None or k distinct class names."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -48,6 +49,10 @@ class Dataset:
             raise ValueError("labels must be one per feature row")
         if self.n == 0:
             raise ValueError("empty dataset")
+        if (bad := first_nonfinite(self.features)) is not None:
+            raise ValueError(f"feature row {bad} has a non-finite value")
+        if not valid_label_names(self.label_names, self.k):
+            raise ValueError(f"label_names must be None or {self.k} distinct strings, got {self.label_names!r}")
 
     @property
     def n(self) -> int:
@@ -136,14 +141,26 @@ def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write the dataset as CSV; float features use repr for exact round trips."""
+    """Write the dataset as CSV, floats by repr for exact round trips; a header ``_label_index`` refuses fails first."""
+    header = [f"x{i}" for i in range(dataset.d)] + [label_column]
+    _label_index(header, label_column)
     names = dataset.label_names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.d)] + [label_column])
+        writer.writerow(header)
         for row, label in zip(dataset.features, dataset.labels):
             name = names[label - 1] if names else str(int(label))
             writer.writerow([repr(float(v)) for v in row] + [name])
+
+
+def _label_index(header: list[str], label_column: str, where: str = "") -> int:
+    """Where ``header`` names ``label_column``, which it must once beside a feature column; errors start with ``where``."""
+    if (count := header.count(label_column)) != 1:
+        times = f"occurs {count} times in" if count else "not in"
+        raise ValueError(f"{where}label column {label_column!r} {times} header {header}")
+    if len(header) < 2:
+        raise ValueError(f"{where}header {header} has no feature column")
+    return header.index(label_column)
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -157,36 +174,30 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{path}: empty dataset")
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise ValueError(f"{path}: label column {label_column!r} not in header {header}") from None
-            feature_idx = [i for i in range(len(header)) if i != label_idx]
-            if not feature_idx:
-                raise ValueError(f"{path}: header {header} has no feature column")
-            features = []
-            raw_labels = []
+            label_idx = _label_index(header, label_column, f"{path}: ")
+            features, raw_labels, line_nos = [], [], []
             for row in reader:
                 line_no = reader.line_num  # the physical line, also after a quoted line break
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ValueError(f"{path}:{line_no}: row has {len(row)} fields, header has {len(header)}")
+                raw_labels.append(row.pop(label_idx))
                 try:
-                    values = [float(row[i]) for i in feature_idx]
+                    features.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: non-numeric feature: {exc}") from None
-                if any(not np.isfinite(v) for v in values):
-                    raise ValueError(f"{path}:{line_no}: non-numeric feature: non-finite value")
-                features.append(values)
-                raw_labels.append(row[label_idx])
+                line_nos.append(line_no)
     except UnicodeDecodeError as exc:  # a ValueError that would not name the file
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not features:
         raise ValueError(f"{path}: empty dataset")
+    features = np.array(features)
+    if (bad := first_nonfinite(features)) is not None:
+        raise ValueError(f"{path}:{line_nos[bad]}: non-numeric feature: non-finite value")
     index = {name: i for i, name in enumerate(dict.fromkeys(raw_labels), start=1)}  # first-appearance order
     labels = [index[name] for name in raw_labels]
-    return Dataset(np.array(features), np.array(labels), k=len(index), label_names=list(index))
+    return Dataset(features, np.array(labels), k=len(index), label_names=list(index))
 
 
 @dataclass
@@ -238,25 +249,48 @@ def sample_groups(
 
 
 def save_observations(observations: list[GroupObservation], path) -> None:
-    """Write groups as JSON lines ({"xs", "z", "task"}), each z parsed by ``_kind_z`` before the file opens."""
-    zs = [_kind_z(obs, index=i) for i, obs in enumerate(observations)]
+    """Write groups as JSON lines ({"xs", "z", "task"}), checked by ``check_observation_file`` before the file opens."""
+    _, zs = check_observation_file(enumerate(observations), "observation ", "the list to save")
     with open(path, "w", encoding="utf-8") as fh:
         for obs, z in zip(observations, zs):
             fh.write(json.dumps({"xs": obs.xs.tolist(), "z": z, "task": obs.task_kind}) + "\n")
 
 
-def _kind_z(obs: GroupObservation, k: int | None = None, index: int | None = None):
-    """obs.z by the rules of its kind: a registered kind, a group size it allows, a label its ``parse_z``
-    takes (of k counts, if given). A ValueError names observation ``index`` when one is given."""
-    try:
-        if not isinstance(obs.task_kind, str) or obs.task_kind not in TASKS:
-            raise ValueError(f"unknown task kind {obs.task_kind!r}")
-        TASKS[obs.task_kind].check_group_size(obs.m, obs.task_kind)
-        return TASKS[obs.task_kind].parse_z(obs.z, obs.m, k)
-    except ValueError as exc:
-        if index is None:
-            raise
-        raise ValueError(f"observation {index}: {exc}") from None
+def check_observation_file(groups, prefix: str, source) -> tuple[list, list]:
+    """The observation-file rule over (key, group) pairs in file order: per group a registered kind, a size it
+    allows and a z its rule parses; one kind, feature width and count-vector length; finite features; a group.
+    Returns the groups and their parsed labels; a ValueError names ``prefix`` + the first failing key, or ``source``."""
+    keys, checked, zs = [], [], []
+    for key, obs in groups:
+        try:
+            z = _kind_z(obs)
+            z_len = len(z) if isinstance(z, tuple) else 0
+            if not zs:
+                kind, width, counts = obs.task_kind, obs.xs.shape[1], z_len
+            if obs.task_kind != kind:
+                raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
+            if obs.xs.shape[1] != width:
+                raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
+            if z_len != counts:
+                raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
+        except (ValueError, RecursionError) as exc:  # the repr of a deeply nested z in a message recurses
+            raise ValueError(f"{prefix}{key}: {exc}") from None
+        keys.append(key)
+        checked.append(obs)
+        zs.append(z)
+    if not zs:
+        raise ValueError(f"no observations in {source}")
+    if (bad := first_nonfinite([obs.xs for obs in checked])) is not None:
+        raise ValueError(f"{prefix}{keys[bad]}: non-finite feature value")
+    return checked, zs
+
+
+def _kind_z(obs: GroupObservation, k: int | None = None):
+    """obs.z by its kind's rules: a registered kind, a group size it allows, a label ``parse_z`` takes (of k counts)."""
+    if not isinstance(obs.task_kind, str) or obs.task_kind not in TASKS:
+        raise ValueError(f"unknown task kind {obs.task_kind!r}")
+    TASKS[obs.task_kind].check_group_size(obs.m, obs.task_kind)
+    return TASKS[obs.task_kind].parse_z(obs.z, obs.m, k)
 
 
 # raw_decode on stripped lines skips the two whitespace scans of json.loads,
@@ -264,67 +298,50 @@ def _kind_z(obs: GroupObservation, k: int | None = None, index: int | None = Non
 _JSON = json.JSONDecoder()
 
 
-def _parse_observation(line: str) -> GroupObservation:
-    doc, end = _JSON.raw_decode(line)  # a JSONDecodeError is a ValueError
-    if end != len(line):
-        raise ValueError("extra data after the JSON object")
-    try:
-        xs, z, kind = doc["xs"], doc["z"], doc["task"]
-    except (KeyError, TypeError):
-        raise ValueError('expected a JSON object with keys "xs", "z" and "task"') from None
-    try:
-        obs = GroupObservation(xs=xs, z=z, task_kind=kind)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
-    obs.z = _kind_z(obs)
-    return obs
+def _parsed_lines(fh, path):
+    """(line number, group) per non-blank line; a line that does not parse raises ValueError naming ``path:line``."""
+    for line_no, line in enumerate(fh, start=1):
+        if not (line := line.strip()):
+            continue
+        try:
+            doc, end = _JSON.raw_decode(line)  # a JSONDecodeError is a ValueError
+            if end != len(line):
+                raise ValueError("extra data after the JSON object")
+            try:
+                xs, z, kind = doc["xs"], doc["z"], doc["task"]
+            except (KeyError, TypeError):
+                raise ValueError('expected a JSON object with keys "xs", "z" and "task"') from None
+            try:
+                obs = GroupObservation(xs=xs, z=z, task_kind=kind)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError("xs must be a non-empty (m, d) array of numbers") from None
+        except (ValueError, RecursionError) as exc:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        yield line_no, obs
 
 
 def load_observations(path) -> list[GroupObservation]:
-    """Read a JSON-lines observation file; every group must have a size its kind allows, and
-    all lines must share one task kind, one feature width and, for count labels, one
-    count-vector length. A bad line raises ValueError naming ``path:line``."""
+    """Read a JSON-lines observation file that passes ``check_observation_file``, each z as its kind's
+    rule parsed it. A bad line raises ValueError naming ``path:line``."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"observation file not found: {path}")
-    observations = []
-    line_nos = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obs = _parse_observation(line)
-                    z_len = len(obs.z) if isinstance(obs.z, tuple) else 0
-                    if not observations:
-                        kind, width, counts = obs.task_kind, obs.xs.shape[1], z_len
-                    if obs.task_kind != kind:
-                        raise ValueError(f"mixed task kinds in one file: {kind!r} and {obs.task_kind!r}")
-                    if obs.xs.shape[1] != width:
-                        raise ValueError(f"mixed feature widths in one file: {width} and {obs.xs.shape[1]}")
-                    if z_len != counts:
-                        raise ValueError(f"mixed count-vector lengths in one file: {counts} and {z_len}")
-                except (ValueError, RecursionError) as exc:  # the decoder recurses once per nesting level
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-                observations.append(obs)
-                line_nos.append(line_no)
+            observations, zs = check_observation_file(_parsed_lines(fh, path), f"{path}:", path)
     except UnicodeDecodeError as exc:  # raised by the file iterator, which decodes ahead of the line
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    if not observations:
-        raise ValueError(f"no observations in {path}")
-    if (bad := first_nonfinite(observations)) is not None:
-        raise ValueError(f"{path}:{line_nos[bad]}: non-finite feature value")
+    for obs, z in zip(observations, zs):
+        obs.z = z
     return observations
 
 
-def first_nonfinite(observations: list[GroupObservation]) -> int | None:
-    """Index of the first group with a non-finite feature, or None; the groups share one width.
-    One vectorized pass: a numpy call per group adds a fifth to the load time of small groups."""
-    finite = np.isfinite(np.concatenate([obs.xs for obs in observations]))
-    if finite.all():  # else the first flat index maps to its group through the cumulative cell counts
+def first_nonfinite(arrays) -> int | None:
+    """Index of the first of ``arrays`` (groups of one width, or a matrix's rows) with a non-finite value, or
+    None. One vectorized pass: a numpy call per group adds a fifth to the load time of small groups."""
+    finite = np.isfinite(arrays if isinstance(arrays, np.ndarray) else np.concatenate(arrays))
+    if finite.all():  # else the first flat index maps to its array through the cumulative cell counts
         return None
-    return int(np.searchsorted(np.cumsum([obs.xs.size for obs in observations]), np.argmin(finite), side="right"))
+    return int(np.searchsorted(np.cumsum([np.size(a) for a in arrays]), np.argmin(finite), side="right"))
 
 
 def check_observations(observations: list[GroupObservation], task: Task, d: int) -> list:
@@ -336,7 +353,10 @@ def check_observations(observations: list[GroupObservation], task: Task, d: int)
             raise ValueError(f"observation {i} is for task {obs.task_kind!r}, not {task.kind!r}")
         if obs.xs.shape[1] != d:
             raise ValueError(f"observation {i} has {obs.xs.shape[1]} features, the model takes {d}")
-        zs.append(_kind_z(obs, task.k, i))
-    if observations and (bad := first_nonfinite(observations)) is not None:
+        try:
+            zs.append(_kind_z(obs, task.k))
+        except ValueError as exc:
+            raise ValueError(f"observation {i}: {exc}") from None
+    if observations and (bad := first_nonfinite([obs.xs for obs in observations])) is not None:
         raise ValueError(f"observation {bad} has a non-finite feature value")
     return zs

@@ -238,6 +238,7 @@ class Classifier:
     # -- serialization -----------------------------------------------------
 
     def save(self, path, extra: dict | None = None) -> None:
+        """Write the checkpoint plus ``extra``; an own field's key in it, or bad label_names, fail before the file opens."""
         doc = {
             "schema_version": CHECKPOINT_SCHEMA,
             "arch": self.arch,
@@ -246,19 +247,24 @@ class Classifier:
             "k": self.k,
             "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in self.layers],
         }
-        if extra:
-            doc.update(extra)
+        if own := sorted(doc.keys() & (extra or {}).keys()):
+            raise ValueError(f"extra key {own[0]!r} names a checkpoint field")
+        doc.update(extra or {})
+        if not valid_label_names(doc.get("label_names")):
+            raise ValueError("label_names must be null or a list of distinct strings")
+        text = json.dumps(doc)  # a value JSON cannot encode fails here, before the file opens
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "Classifier":
         return load_checkpoint(path)[0]
 
 
-def valid_label_names(names) -> bool:
-    """Whether ``names`` is a class-name order as the pipeline records it: None or a list of strings."""
-    return names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)
+def valid_label_names(names, k: int | None = None) -> bool:
+    """Whether ``names`` is a class-name order as the pipeline records it: None or k (if given) distinct strings."""
+    return names is None or (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                             and len(set(names)) == len(names) == (k or len(names)))
 
 
 def load_checkpoint(path) -> tuple[Classifier, dict]:
@@ -270,7 +276,7 @@ def load_checkpoint(path) -> tuple[Classifier, dict]:
         if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA:
             raise ValueError(f"not a JSON object of checkpoint schema {CHECKPOINT_SCHEMA}")
         if not valid_label_names(doc.get("label_names")):
-            raise ValueError("label_names must be null or a list of strings")
+            raise ValueError("label_names must be null or a list of distinct strings")
         layers = [(np.array(layer["weight"]), np.array(layer["bias"])) for layer in doc["layers"]]
         return Classifier(doc["arch"], doc["head"], doc["d"], doc["k"], layers), doc
     except KeyError as exc:

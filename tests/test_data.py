@@ -3,7 +3,6 @@ import pytest
 
 from agglearn.data import (
     Dataset,
-    GroupObservation,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -193,10 +192,10 @@ class TestObservationFiles:
             assert ob.task_kind == "llp"
 
     def test_mixed_tasks_rejected(self, tmp_path):
+        # written by hand: save_observations refuses to write a mixed file
         path = tmp_path / "mixed.jsonl"
-        a = GroupObservation(np.zeros((2, 1)), 1, "pairwise")
-        b = GroupObservation(np.zeros((2, 1)), 1, "rank")
-        save_observations([a, b], path)
+        path.write_text('{"xs": [[0.0], [0.0]], "z": 1, "task": "pairwise"}\n'
+                        '{"xs": [[0.0], [0.0]], "z": 1, "task": "rank"}\n')
         with pytest.raises(ValueError, match="mixed task"):
             load_observations(path)
 
