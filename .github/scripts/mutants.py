@@ -176,6 +176,25 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "del _LLP_PLANS[next(iter(_LLP_PLANS))]", "del _LLP_PLANS[next(reversed(_LLP_PLANS))]",
            "killed"),
+    # the stacked kernels: the complement rule, the clamp, joint=False and the stack-of-one view
+    Mutant("src/agglearn/posteriors.py",
+           "np.where(flip, other, p)", "np.where(flip, p, other)",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "np.where(np.reshape(flip, (-1, 1, 1)), rest, own)", "np.where(np.reshape(flip, (-1, 1, 1)), own, rest)",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "p, own = (other, rest) if all(flip) else", "p, own = (other, own) if all(flip) else",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "np.maximum(own, 0.0) if joint else None", "own if joint else None",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "np.maximum(joints, 0.0) if joint else None", "np.maximum(joints, 0.0)",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "return GroupPosterior(pz=float(pz[0]), joint=joint[0])", "return GroupPosterior(pz=float(pz[0]), joint=joint)",
+           "killed"),
     # equivalent, or nearly so
     Mutant("src/agglearn/training.py",
            "            val_metric = likelihood / n_train\n",
@@ -185,11 +204,12 @@ MUTANTS = [
            "if not (sums > 0.0).all():", "if not (sums > 0.0).any():",
            "equivalent: every joint row sums to the same p(z), so one positive row means all are"),
     Mutant("src/agglearn/posteriors.py",
-           "    pz = float(max(pz, 0.0))\n", "    pz = float(pz)\n",
+           "return np.maximum(pz, 0.0), np.maximum(joints, 0.0) if joint else None",
+           "return pz, np.maximum(joints, 0.0) if joint else None",
            "equivalent: only a p(z) cancelled below zero differs, and training floors p(z) at PZ_FLOOR"),
     Mutant("src/agglearn/posteriors.py",
-           "return np.maximum(np.where(np.asarray(zs) == side, own, 1.0 - own), 0.0)",
-           "return np.where(np.asarray(zs) == side, own, 1.0 - own)",
+           "return np.maximum(p, 0.0), np.maximum(own, 0.0) if joint else None",
+           "return p, np.maximum(own, 0.0) if joint else None",
            "equivalent: only a p(z) cancelled below zero differs, and the likelihood floors p(z) at PZ_FLOOR"),
 ]
 

@@ -351,6 +351,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     labels = test.task_labels(task, positive)
     preds = model.predict(test.features)
     report: dict = {"task": task.kind, "label_names": canonical, "accuracy": accuracy(preds, labels)}
+    if task.spec.first_label == 0:  # the bag alphabet {0, 1}: name the class read as 1
+        report["positive_class"] = canonical[(test.k if positive is None else positive) - 1]
     if resolved["obs"]:
         bags = data_mod.load_observations(resolved["obs"])
         try:

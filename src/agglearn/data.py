@@ -141,10 +141,16 @@ def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write the dataset as CSV, floats by repr for exact round trips; a header ``_label_index`` refuses fails first."""
+    """Write the dataset as CSV, floats by repr for exact round trips; a header ``_label_index`` refuses, or a
+    label name UTF-8 cannot encode, fails before the file opens."""
     header = [f"x{i}" for i in range(dataset.d)] + [label_column]
     _label_index(header, label_column)
     names = dataset.label_names
+    for name in names or ():
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"label name {name!r} cannot be written as UTF-8") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -17,7 +17,7 @@ implementation for all of them; it shares only the row check ``parse_probs``
 with the kernels, and its own clipped outer product ``label_space_product`` with the EM bound's tuple masses.
 The label-proportion form is a dense dynamic program over the count box: one
 array holds a whole sweep, the suffix sweep contracts against the prefix,
-``MAX_LLP_BOX`` bounds the cells; ``pz_llp`` runs the prefix sweep alone. A
+``MAX_LLP_BOX`` bounds the cells; p(z) alone runs the prefix sweep only. A
 bag's z is fixed, so each z's box plan is built once into a read-only cache of
 ``LLP_PLAN_CACHE_BYTES`` at most.
 
@@ -25,9 +25,9 @@ Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
 only, in a ``*_event`` function over leading group axes that returns
 (marginals, p, joint). ``indicator(event, side)`` derives the other event,
-p(z') = 1 - p and joint' = marginals - joint, for one group's posterior and
-for p(z) alone over a (G, m, k) stack. The comparison and order kernels
-compute z = 1; the bag kernel computes z = 0, the all-negative product.
+p(z') = 1 - p and joint' = marginals - joint, in the kind's one kernel over a
+(G, m, k) stack; ``one_group`` runs any kernel on a stack of one. The comparison
+and order kernels compute z = 1; the bag kernel computes z = 0, the all-negative product.
 
 Ordinal tasks (rank, ordinal_triplet) are parameterized by cumulative
 probabilities cum[j] = p(y <= j) with the sentinels cum[0] = 0 and
@@ -140,12 +140,6 @@ def _clamp_probs(eta) -> np.ndarray:
     return np.minimum(np.maximum(eta, PROB_EPS), 1.0 - PROB_EPS)  # np.clip's bits, less overhead
 
 
-def _finish(pz: float, joint: np.ndarray) -> GroupPosterior:
-    # Tiny negatives from cancellation are rounding noise; clamp to zero.
-    pz = float(max(pz, 0.0))
-    return GroupPosterior(pz=pz, joint=np.maximum(joint, 0.0))
-
-
 def to_cumulative(probs) -> np.ndarray:
     """Per-class probabilities (..., k) -> cumulative vectors (..., k+1) with exact endpoints."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -166,29 +160,35 @@ def cumulative_rows(etas) -> np.ndarray:
 
 
 def _check_cumulative(cums) -> np.ndarray:
-    """A group's cumulative vectors, each checked, stacked as (m, k+1)."""
+    """A stack of one group's cumulative vectors, each checked, as (1, m, k+1)."""
     cum = np.asarray(cums, dtype=np.float64)
-    if cum.ndim != 2 or cum.shape[1] < 2:
+    if cum.ndim != 3 or cum.shape[2] < 2:
         raise ValueError("each cumulative vector must be 1-D of length k+1")
     if np.any(np.diff(cum) < -1e-9):
         raise ValueError("cumulative probabilities must be nondecreasing")
-    if np.any(np.abs(cum[:, 0]) > 1e-9) or np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
+    if np.any(np.abs(cum[..., 0]) > 1e-9) or np.any(np.abs(cum[..., -1] - 1.0) > 1e-9):
         raise ValueError("cumulative vector must start at 0 and end at 1")
     return cum
 
 
+def one_group(kernel, etas, z) -> GroupPosterior:
+    """One group's posterior from a stacked kernel: (m, k) etas and z as a stack of one."""
+    pz, joint = kernel(np.asarray(etas)[None], [z])
+    return GroupPosterior(pz=float(pz[0]), joint=joint[0])
+
+
 def indicator(event, side: int, rows=_clamp_probs) -> dict:
-    """A 0/1 kind's registry pair {"posterior", "pz"} from ``event(rows(etas))``, the (marginals,
-    p, joint) of z = ``side``; z = 1 - side has 1 - p and marginals - joint (``pz`` skips the joint)."""
-    def posterior(etas, z) -> GroupPosterior:
-        marginals, pz, joint = event(rows(etas))
-        return _finish(pz, joint) if parse_bit(z) == side else _finish(1.0 - pz, marginals - joint)
+    """A 0/1 kind's registry entry {"kernel"} from ``event(rows(etas))``, the stack's (marginals, p, joint) of
+    z = ``side``; z = 1 - side has 1 - p and marginals - joint, its rounding noise below zero clamped to 0."""
+    def kernel(etas, zs, joint=True):
+        flip = [parse_bit(z) != side for z in zs]
+        marginals, p, own = event(rows(etas))
+        if any(flip):  # the complement, chosen group by group only in a mixed stack
+            other, rest = 1.0 - p, marginals - own
+            p, own = (other, rest) if all(flip) else (np.where(flip, other, p), np.where(np.reshape(flip, (-1, 1, 1)), rest, own))
+        return np.maximum(p, 0.0), np.maximum(own, 0.0) if joint else None
 
-    def pz(etas, zs) -> np.ndarray:
-        own = event(rows(etas))[1]
-        return np.maximum(np.where(np.asarray(zs) == side, own, 1.0 - own), 0.0)
-
-    return {"posterior": posterior, "pz": pz}
+    return {"kernel": kernel}
 
 
 def pairwise_event(etas):
@@ -202,7 +202,7 @@ def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
     per-class agreement products.
     """
-    return indicator(pairwise_event, 1)["posterior"](parse_probs([eta1, eta2]), z)
+    return one_group(indicator(pairwise_event, 1)["kernel"], parse_probs([eta1, eta2]), z)
 
 
 def triplet_event(etas):
@@ -215,7 +215,7 @@ def triplet_event(etas):
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    return indicator(triplet_event, 1)["posterior"](parse_probs([eta1, eta2, eta3]), z)
+    return one_group(indicator(triplet_event, 1)["kernel"], parse_probs([eta1, eta2, eta3]), z)
 
 
 def mil_event(etas):
@@ -232,7 +232,7 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     forces every instance negative, so p(z=0) is the product of the
     negative probabilities and every z=0 joint row is (p(z=0), 0).
     """
-    return indicator(mil_event, 0)["posterior"](parse_probs(etas, 2), z)
+    return one_group(indicator(mil_event, 0)["kernel"], parse_probs(etas, 2), z)
 
 
 def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -271,53 +271,44 @@ def _llp_plan(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
         return plan
 
 
-def _llp_prefix(etas: np.ndarray, z):
-    """Check counts z against clamped (m, k) etas and run the prefix sweep:
-    (starts, down, mass), where mass[-2], the cell of z itself, is p(z)."""
-    z = parse_counts(z, *etas.shape)
-    volume = math.prod(c + 1 for c in z)
-    if (len(z) + 2) * volume > MAX_LLP_BOX:
-        raise ValueError(f"llp count box of volume {volume} needs {(len(z) + 2) * volume} cells, over {MAX_LLP_BOX}")
-
-    starts, down = _llp_plan(z)
-    mass = np.zeros(volume + 1)  # index ``volume`` is the zero sentinel
-    mass[0] = 1.0  # the empty count vector
-    for eta, lo, hi in zip(etas, starts[1:-1], starts[2:]):
-        mass[lo:hi] = eta @ mass.take(down[:, lo:hi])
-    return starts, down, mass
-
-
 def posterior_llp(etas, z) -> GroupPosterior:
     """Label-proportion counts, m>=2: z[j] = number of instances of class j; ``llp_kernel`` on checked rows."""
-    return llp_kernel(parse_probs(etas), z)
+    return one_group(llp_kernel, parse_probs(etas), z)
 
 
-def llp_kernel(etas, z) -> GroupPosterior:
-    """``posterior_llp`` on rows already checked, the registry's llp entry.
+def llp_kernel(etas, zs, joint=True):
+    """The registry's llp kernel over stacked (G, m, k) rows already checked, one group at a time.
 
     A dense dynamic program over the count box prod_j [0, z_j]. Count vector
     c is reached after exactly |c| instances, so one box-sized array holds a
     sweep: the mass of instances [0, |c|) having counts c, then, overwritten
     level by level, that of instances [m - |c|, m). Each step is one gather
-    and one matrix-vector product, and the suffix sweep contracts as it goes:
+    and one matrix-vector product. The prefix sweep ends at p(z); the suffix
+    sweep, run only for the joint, contracts as it goes:
     joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
     """
-    etas = _clamp_probs(etas)
-    starts, down, mass = _llp_prefix(etas, z)
-    volume = mass.size - 1
-    # prefix[p] = prefix mass of z - c for cell p = c: the flip c -> z - c maps p to volume - 1 - p
-    prefix = mass[volume - 1 :: -1].copy()
-    joint = np.empty(etas.shape)
-    for i, lo, hi in zip(range(len(etas) - 1, -1, -1), starts[1:-1], starts[2:]):
-        rest = mass.take(down[:, lo:hi])  # rest[j, q] = suffix[q - e_j]
-        mass[lo:hi] = etas[i] @ rest
-        joint[i] = rest @ prefix[lo:hi]
-    return _finish(prefix[0], etas * joint)
-
-
-def pz_llp(etas, zs) -> np.ndarray:
-    """p(z | group) for stacked groups (G, m, k): the prefix sweep alone, per group."""
-    return np.array([max(_llp_prefix(_clamp_probs(e), z)[2][-2], 0.0) for e, z in zip(etas, zs)])
+    pz, joints = np.empty(len(etas)), np.empty(np.shape(etas))
+    for g, (rows, z) in enumerate(zip(etas, zs, strict=True)):
+        rows = _clamp_probs(rows)  # each group's own array, so a stack of one gives its bits
+        z = parse_counts(z, *rows.shape)
+        volume = math.prod(c + 1 for c in z)
+        if (len(z) + 2) * volume > MAX_LLP_BOX:
+            raise ValueError(f"llp count box of volume {volume} needs {(len(z) + 2) * volume} cells, over {MAX_LLP_BOX}")
+        starts, down = _llp_plan(z)
+        mass = np.zeros(volume + 1)  # index ``volume`` is the zero sentinel
+        mass[0] = 1.0  # the empty count vector
+        for eta, lo, hi in zip(rows, starts[1:-1], starts[2:]):
+            mass[lo:hi] = eta @ mass.take(down[:, lo:hi])
+        pz[g] = mass[-2]  # the cell of z itself
+        if joint:
+            # prefix[p] = prefix mass of z - c for cell p = c: the flip c -> z - c maps p to volume - 1 - p
+            prefix = mass[volume - 1 :: -1].copy()
+            for i, lo, hi in zip(range(len(rows) - 1, -1, -1), starts[1:-1], starts[2:]):
+                rest = mass.take(down[:, lo:hi])  # rest[j, q] = suffix[q - e_j]
+                mass[lo:hi] = rows[i] @ rest
+                joints[g, i] = rest @ prefix[lo:hi]
+            joints[g] *= rows
+    return np.maximum(pz, 0.0), np.maximum(joints, 0.0) if joint else None
 
 
 def rank_event(cum):
@@ -333,7 +324,7 @@ def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
     Inputs are cumulative vectors (k+1,). p(z=1) accumulates, over the
     value j of y2, the chance that y1 lands strictly below j.
     """
-    return indicator(rank_event, 1, _check_cumulative)["posterior"]([cum1, cum2], z)
+    return one_group(indicator(rank_event, 1, _check_cumulative)["kernel"], [cum1, cum2], z)
 
 
 def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
@@ -365,7 +356,7 @@ def ordinal_triplet_event(cum):
 
 def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
     """Comparison indicator with ordinal distance, m=3: z = 1 iff |y1-y2| < |y1-y3|."""
-    return indicator(ordinal_triplet_event, 1, _check_cumulative)["posterior"]([cum1, cum2, cum3], z)
+    return one_group(indicator(ordinal_triplet_event, 1, _check_cumulative)["kernel"], [cum1, cum2, cum3], z)
 
 
 def group_posterior(task: Task, etas, z) -> GroupPosterior:

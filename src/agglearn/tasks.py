@@ -44,15 +44,15 @@ class TaskSpec:
     ``g`` maps a sequence of m broadcastable label arrays (plain ints work
     too) and the class count k to the components of z, elementwise: one
     0/1 component for the indicator tasks, k counts for label proportions.
-    ``posterior`` is the closed form p(z | group), p(z, y_i = j | group)
-    for per-class rows (m, k) that passed ``parse_probs`` and a z it checks by ``parse_z``'s rule.
-    ``pz`` is p(z | group) alone, shape (G,), for groups stacked as (G, m, k)
-    and G validated labels; each entry equals ``posterior(...).pz`` bit for bit.
+    ``kernel(etas, zs, joint=True)`` is the kind's one closed form: for per-class rows
+    (G, m, k) that passed ``parse_probs`` and G labels it checks by ``parse_z``'s rule,
+    p(z | group) (G,) and p(z, y_i = j | group) (G, m, k), or None with ``joint=False``;
+    a group's bits do not depend on its stack. ``posterior`` runs it on one group's
+    (m, k) rows as a stack of one, ``pz`` for p(z) alone.
     """
 
     g: Callable
-    posterior: Callable[[np.ndarray, object], kernels.GroupPosterior]
-    pz: Callable[[np.ndarray, list], np.ndarray]
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray | None]]
     m: int | None = None  # fixed group size; None allows any m >= 2
     k: int | None = None  # fixed class count; None allows any k >= min_k
     min_k: int = 1
@@ -63,6 +63,12 @@ class TaskSpec:
     warmup: bool = True  # likelihood warm-up by default
     cache: bool = True  # confidence cache by default
     identifiable: bool = True  # False: classes are known only up to a permutation
+
+    def posterior(self, etas, z) -> kernels.GroupPosterior:
+        return kernels.one_group(self.kernel, etas, z)
+
+    def pz(self, etas, zs) -> np.ndarray:
+        return self.kernel(etas, zs, joint=False)[0]
 
     def parse_z(self, z, m: int, k: int | None = None):
         """z checked for a group of m by the kind's rule, ``kernels.parse_counts`` or ``parse_bit``."""
@@ -97,8 +103,7 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "llp": TaskSpec(
         g=lambda y, k: (sum(a == j for a in y) for j in range(1, k + 1)),
-        posterior=kernels.llp_kernel,
-        pz=kernels.pz_llp,
+        kernel=kernels.llp_kernel,
         counts=True,
         warmup=False,
     ),

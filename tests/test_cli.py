@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from agglearn.cli import main
+from agglearn.data import load_csv
 from agglearn.models import Classifier
 
 
@@ -81,6 +82,7 @@ class TestPipeline:
         assert 0.0 <= report["modified_accuracy"] <= 1.0
         assert len(report["permutation"]) == 3
         assert report["config_hash"]
+        assert list(report) == ["task", "label_names", "accuracy", "modified_accuracy", "permutation", "config_hash"]
 
     def test_eval_requires_a_matching_split_choice(self, tmp_path, dataset_csv):
         run(["aggregate", "--data", dataset_csv, "--task", "pairwise", "--k", 3,
@@ -150,6 +152,22 @@ class TestPipeline:
                     "--out-dir", tmp_path, "--name", "milreport"]) == 0
         report = json.loads((tmp_path / "milreport.json").read_text())
         assert "group_accuracy" in report and "accuracy" in report
+        assert report["positive_class"] == report["label_names"][-1]  # the highest class by default
+
+    @pytest.mark.parametrize("positive", [1, 2, 3])
+    def test_mil_report_names_the_positive_class(self, tmp_path, positive):
+        run(["synth", "--k", 3, "--d", 2, "--n", 150, "--seed", 9, "--out-dir", tmp_path, "--name", "tri"])
+        run(["aggregate", "--data", tmp_path / "tri.csv", "--task", "mil", "--m", 3, "--positive-label", positive,
+             "--n-groups", 60, "--seed", 10, "--out-dir", tmp_path, "--name", "bags"])
+        run(["train", "--obs", tmp_path / "bags.jsonl", "--epochs", 1, "--seed", 11,
+             "--out-dir", tmp_path, "--name", "milrun"])
+        assert run(["eval", "--checkpoint", tmp_path / "milrun.checkpoint.json", "--data", tmp_path / "tri.csv",
+                    "--task", "mil", "--m", 3, "--positive-label", positive,
+                    "--out-dir", tmp_path, "--name", "milreport"]) == 0
+        report = json.loads((tmp_path / "milreport.json").read_text())
+        names = load_csv(tmp_path / "tri.csv").label_names
+        assert report["label_names"] == names and report["permutation"] == [0, 1]
+        assert report["positive_class"] == names[positive - 1]
 
 
 class TestNonPositiveOptions:

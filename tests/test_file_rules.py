@@ -163,6 +163,15 @@ def test_save_csv_refuses_a_label_column_named_like_a_feature(tmp_path):
             r"^label column 'x0' occurs 2 times in header \['x0', 'x1', 'x0'\]$")
 
 
+def test_save_csv_refuses_a_label_name_utf8_cannot_encode_before_the_file_opens(tmp_path):
+    ds = Dataset(np.arange(4.0).reshape(4, 1), [1, 1, 2, 2], 2, ["a", "\ud800"])
+    message = r"^label name '\\ud800' cannot be written as UTF-8$"
+    with pytest.raises(ValueError, match=message):
+        save_csv(ds, tmp_path / "new.csv")
+    assert not (tmp_path / "new.csv").exists()
+    refused(lambda path: save_csv(ds, path), tmp_path / "ds.csv", message)
+
+
 def test_save_csv_refuses_a_dataset_without_features(tmp_path):
     ds = Dataset(np.zeros((2, 0)), [1, 2], 2)
     refused(lambda path: save_csv(ds, path), tmp_path / "ds.csv", r"^header \['label'\] has no feature column$")

@@ -1,7 +1,8 @@
 """The label-proportion plan cache: same bits warm or cold, read-only, byte-bounded LRU.
 
-``posterior_llp`` and ``pz_llp`` read each count vector's box plan (level
-starts and neighbour table) from ``posteriors._LLP_PLANS``. A plan served
+``posterior_llp`` and the llp kernel's p(z) alone (``TASKS["llp"].pz``)
+read each count vector's box plan (level starts and neighbour table) from
+``posteriors._LLP_PLANS``. A plan served
 from the cache must give the bits of a freshly built one, must not be
 writable by a caller, and the cache must hold at most
 ``LLP_PLAN_CACHE_BYTES`` of tables, evicting the least recently used.
@@ -15,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agglearn import posteriors
-from agglearn.posteriors import posterior_llp, pz_llp
+from agglearn.posteriors import posterior_llp
+from agglearn.tasks import TASKS
+
+pz_llp = TASKS["llp"].pz
 
 # per-class masses before row normalization, near-0/1 entries included
 MASSES = st.one_of(st.sampled_from([0.0, 1e-300, 1e-13, 1e-9, 1.0 - 1e-9, 1.0]), st.floats(1e-6, 1.0))

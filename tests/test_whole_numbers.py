@@ -176,7 +176,7 @@ class TestOracleSharesNoKernelHelper:
             raise AssertionError("the oracle called a kernel helper")
 
         monkeypatch.setattr(posteriors, "_clamp_probs", kernel_helper)
-        monkeypatch.setattr(posteriors, "_finish", kernel_helper)
+        monkeypatch.setattr(posteriors, "one_group", kernel_helper)
         got = brute_force_posterior(task, etas, z)
         assert got.pz == expected.pz and got.joint.tobytes() == expected.joint.tobytes()
 
