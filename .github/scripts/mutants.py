@@ -178,13 +178,14 @@ MUTANTS = [
            "killed"),
     # the stacked kernels: the complement rule, the clamp, joint=False and the stack-of-one view
     Mutant("src/agglearn/posteriors.py",
-           "np.where(flip, other, p)", "np.where(flip, p, other)",
+           "np.where(flip, 1.0 - p, p)", "np.where(flip, p, 1.0 - p)",
            "killed"),
     Mutant("src/agglearn/posteriors.py",
-           "np.where(np.reshape(flip, (-1, 1, 1)), rest, own)", "np.where(np.reshape(flip, (-1, 1, 1)), own, rest)",
+           "np.where(np.reshape(flip, (-1, 1, 1)), marginals - own, own)",
+           "np.where(np.reshape(flip, (-1, 1, 1)), own, marginals - own)",
            "killed"),
     Mutant("src/agglearn/posteriors.py",
-           "p, own = (other, rest) if all(flip) else", "p, own = (other, own) if all(flip) else",
+           "own = marginals - own if every else", "own = own if every else",
            "killed"),
     Mutant("src/agglearn/posteriors.py",
            "np.maximum(own, 0.0) if joint else None", "own if joint else None",
@@ -195,6 +196,24 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "return GroupPosterior(pz=float(pz[0]), joint=joint[0])", "return GroupPosterior(pz=float(pz[0]), joint=joint)",
            "killed"),
+    # the likelihood pass: checked once per run, p(z) alone, logs added left to right
+    # (tests/test_likelihood_pass.py, one test each)
+    Mutant("src/agglearn/training.py",
+           "    if zs is None:\n        zs = check_observations(observations, task, model.d)\n",
+           "    if zs is None:\n        zs = [obs.z for obs in observations]\n",
+           "killed"),  # test_a_direct_call_is_still_checked
+    Mutant("src/agglearn/training.py",
+           "    if zs is None:\n", "    if True:\n",
+           "killed"),  # test_train_checks_its_observations_once
+    Mutant("src/agglearn/training.py",
+           "float(np.cumsum(np.log(np.maximum(pz, PZ_FLOOR)))[-1])", "float(np.sum(np.log(np.maximum(pz, PZ_FLOOR))))",
+           "killed"),  # test_the_pass_adds_its_logs_left_to_right
+    Mutant("src/agglearn/training.py",
+           "observed_likelihood(task, val_obs, model, val_zs)", "observed_likelihood(task, val_obs, model, train_zs)",
+           "killed"),  # test_the_epoch_records_score_each_split_with_its_own_labels
+    Mutant("src/agglearn/posteriors.py",
+           "np.stack([agree, agree], axis=-2) if joint else None", "np.stack([agree, agree], axis=-2)",
+           "killed"),  # test_p_alone_builds_no_joint_and_keeps_its_bits
     # equivalent, or nearly so
     Mutant("src/agglearn/training.py",
            "            val_metric = likelihood / n_train\n",

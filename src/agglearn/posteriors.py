@@ -23,11 +23,12 @@ bag's z is fixed, so each z's box plan is built once into a read-only cache of
 
 Every other task observes a 0/1 label z. The events z = 0 and z = 1 split
 the label tuples between them, so each of those kernels computes one event
-only, in a ``*_event`` function over leading group axes that returns
-(marginals, p, joint). ``indicator(event, side)`` derives the other event,
-p(z') = 1 - p and joint' = marginals - joint, in the kind's one kernel over a
-(G, m, k) stack; ``one_group`` runs any kernel on a stack of one. The comparison
-and order kernels compute z = 1; the bag kernel computes z = 0, the all-negative product.
+only, in a ``*_event(rows, joint=True)`` function over leading group axes that
+returns (marginals, p, joint or None): with ``joint`` False no joint is built.
+``indicator(event, side)`` derives the other event, p(z') = 1 - p and
+joint' = marginals - joint, in the kind's one kernel over a (G, m, k) stack;
+``one_group`` runs any kernel on a stack of one. The comparison and order
+kernels compute z = 1; the bag kernel computes z = 0, the all-negative product.
 
 Ordinal tasks (rank, ordinal_triplet) are parameterized by cumulative
 probabilities cum[j] = p(y <= j) with the sentinels cum[0] = 0 and
@@ -178,22 +179,25 @@ def one_group(kernel, etas, z) -> GroupPosterior:
 
 
 def indicator(event, side: int, rows=_clamp_probs) -> dict:
-    """A 0/1 kind's registry entry {"kernel"} from ``event(rows(etas))``, the stack's (marginals, p, joint) of
-    z = ``side``; z = 1 - side has 1 - p and marginals - joint, its rounding noise below zero clamped to 0."""
+    """A 0/1 kind's registry entry {"kernel"} from ``event(rows(etas), joint)``, the stack's (marginals, p,
+    joint or None) of z = ``side``; z = 1 - side has 1 - p and marginals - joint, its rounding noise below zero
+    clamped to 0. With ``joint`` False neither event's joint is built."""
     def kernel(etas, zs, joint=True):
         flip = [parse_bit(z) != side for z in zs]
-        marginals, p, own = event(rows(etas))
+        marginals, p, own = event(rows(etas), joint)
         if any(flip):  # the complement, chosen group by group only in a mixed stack
-            other, rest = 1.0 - p, marginals - own
-            p, own = (other, rest) if all(flip) else (np.where(flip, other, p), np.where(np.reshape(flip, (-1, 1, 1)), rest, own))
+            every = all(flip)
+            p = 1.0 - p if every else np.where(flip, 1.0 - p, p)
+            if joint:
+                own = marginals - own if every else np.where(np.reshape(flip, (-1, 1, 1)), marginals - own, own)
         return np.maximum(p, 0.0), np.maximum(own, 0.0) if joint else None
 
     return {"kernel": kernel}
 
 
-def pairwise_event(etas):
+def pairwise_event(etas, joint=True):
     agree = etas[..., 0, :] * etas[..., 1, :]
-    return etas, agree.sum(axis=-1), np.stack([agree, agree], axis=-2)
+    return etas, agree.sum(axis=-1), np.stack([agree, agree], axis=-2) if joint else None
 
 
 def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
@@ -205,9 +209,11 @@ def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     return one_group(indicator(pairwise_event, 1)["kernel"], parse_probs([eta1, eta2]), z)
 
 
-def triplet_event(etas):
+def triplet_event(etas, joint=True):
     pair12 = etas[..., 0, :] * etas[..., 1, :]
     hit = pair12 * (1.0 - etas[..., 2, :])  # class-j mass of {y1 = y2 = j, y3 != j}
+    if not joint:
+        return etas, hit.sum(axis=-1), None
     # For y3 = j the first two must agree on some class other than j.
     other12 = (pair12.sum(axis=-1, keepdims=True) - pair12) * etas[..., 2, :]
     return etas, hit.sum(axis=-1), np.stack([hit, hit, other12], axis=-2)
@@ -218,11 +224,13 @@ def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     return one_group(indicator(triplet_event, 1)["kernel"], parse_probs([eta1, eta2, eta3]), z)
 
 
-def mil_event(etas):
+def mil_event(etas, joint=True):
     pz = etas[..., 0].prod(axis=-1)
-    joint = np.zeros(etas.shape)
-    joint[..., 0] = pz[..., None]
-    return etas, pz, joint
+    if not joint:
+        return etas, pz, None
+    out = np.zeros(etas.shape)
+    out[..., 0] = pz[..., None]
+    return etas, pz, out
 
 
 def posterior_mil(etas, z: int) -> GroupPosterior:
@@ -287,7 +295,7 @@ def llp_kernel(etas, zs, joint=True):
     sweep, run only for the joint, contracts as it goes:
     joint[i, j] = eta[i, j] * sum_{|q| = m - i} prefix[z - q] * suffix[q - e_j].
     """
-    pz, joints = np.empty(len(etas)), np.empty(np.shape(etas))
+    pz, joints = np.empty(len(etas)), np.empty(np.shape(etas)) if joint else None
     for g, (rows, z) in enumerate(zip(etas, zs, strict=True)):
         rows = _clamp_probs(rows)  # each group's own array, so a stack of one gives its bits
         z = parse_counts(z, *rows.shape)
@@ -311,10 +319,10 @@ def llp_kernel(etas, zs, joint=True):
     return np.maximum(pz, 0.0), np.maximum(joints, 0.0) if joint else None
 
 
-def rank_event(cum):
+def rank_event(cum, joint=True):
     probs = np.diff(cum, axis=-1)
     below1 = cum[..., 0, :-1] * probs[..., 1, :]  # p(y1 <= j-1, y2 = j) for j = 1..k
-    joint = np.stack([(1.0 - cum[..., 1, 1:]) * probs[..., 0, :], below1], axis=-2)
+    joint = np.stack([(1.0 - cum[..., 1, 1:]) * probs[..., 0, :], below1], axis=-2) if joint else None
     return probs, below1.sum(axis=-1), joint
 
 
@@ -337,7 +345,7 @@ def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
     return np.maximum(cum[..., np.clip(hi, 0, k)] - cum[..., np.clip(lo, 0, k)], 0.0)
 
 
-def ordinal_triplet_event(cum):
+def ordinal_triplet_event(cum, joint=True):
     probs = np.diff(cum, axis=-1)
     labels = np.arange(1, cum.shape[-1])
     a, b = labels[:, None], labels[None, :]
@@ -345,12 +353,15 @@ def ordinal_triplet_event(cum):
     # closer2[a, b] = p(|y2 - a| < |b - a|): y2 strictly inside the band
     # around y1 = a whose radius is set by y3 = b.
     closer2 = _band(cum[..., 1, :], a - radius, a + radius - 1)
+    # explicit sums, not BLAS matrix-vector products, give a stack each group's bits
+    p1, p3 = probs[..., 0, :, None], probs[..., 2, None, :]
+    inner1 = (closer2 * p3).sum(axis=-1)
+    if not joint:  # p is the sum of the joint's y1 row
+        return probs, (probs[..., 0, :] * inner1).sum(axis=-1), None
     # beyond3[a, c] = p(|y3 - a| > |c - a|): y3 outside the closed band
     # around y1 = a whose radius is set by y2 = c.
     beyond3 = 1.0 - _band(cum[..., 2, :], a - radius - 1, a + radius)
-    # explicit sums, not BLAS matrix-vector products, give a stack each group's bits
-    p1, p3 = probs[..., 0, :, None], probs[..., 2, None, :]
-    joint = probs * np.stack([(closer2 * p3).sum(axis=-1), (p1 * beyond3).sum(axis=-2), (p1 * closer2).sum(axis=-2)], axis=-2)
+    joint = probs * np.stack([inner1, (p1 * beyond3).sum(axis=-2), (p1 * closer2).sum(axis=-2)], axis=-2)
     return probs, joint[..., 0, :].sum(axis=-1), joint
 
 

@@ -46,9 +46,10 @@ class TaskSpec:
     0/1 component for the indicator tasks, k counts for label proportions.
     ``kernel(etas, zs, joint=True)`` is the kind's one closed form: for per-class rows
     (G, m, k) that passed ``parse_probs`` and G labels it checks by ``parse_z``'s rule,
-    p(z | group) (G,) and p(z, y_i = j | group) (G, m, k), or None with ``joint=False``;
-    a group's bits do not depend on its stack. ``posterior`` runs it on one group's
-    (m, k) rows as a stack of one, ``pz`` for p(z) alone.
+    p(z | group) (G,) and p(z, y_i = j | group) (G, m, k), or None with ``joint=False``,
+    which builds no joint; a group's bits do not depend on its stack. A 0/1 kind's kernel is
+    ``indicator`` over an event whose ``event(rows, joint)`` returns (marginals, p, joint or None).
+    ``posterior`` runs the kernel on one group's (m, k) rows as a stack of one, ``pz`` for p(z) alone.
     """
 
     g: Callable

@@ -120,17 +120,17 @@ class TrainResult:
     confidence: np.ndarray | None = field(default=None, repr=False)
 
 
-def observed_likelihood(task: Task, observations: list[GroupObservation], model: Classifier) -> float:
-    """Sum of log p(z | group) over observations that pass ``check_observations``, under
-    the model, from stacked forwards and the task's p(z)-only kernel, added in group order."""
-    zs = check_observations(observations, task, model.d)
+def observed_likelihood(task: Task, observations: list[GroupObservation], model: Classifier, zs: list | None = None) -> float:
+    """Sum of log p(z | group) over the observations under the model, from stacked forwards and the
+    task's p(z)-only kernel, added left to right in group order. ``zs`` are the labels
+    ``check_observations`` returned for these observations; without them the observations are checked."""
+    if zs is None:
+        zs = check_observations(observations, task, model.d)
     pz = np.empty(len(observations))
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
         pz[idx] = task.spec.pz(model.predict_proba(stack), [zs[i] for i in idx])
-    total = 0.0
-    for p in pz.tolist():
-        total += float(np.log(max(p, PZ_FLOOR)))
-    return total
+    # cumsum adds in order, as a loop would; np.sum adds pairwise and gives other bits
+    return float(np.cumsum(np.log(np.maximum(pz, PZ_FLOOR)))[-1]) if len(pz) else 0.0
 
 
 def _refresh(model: Classifier, rows: list[np.ndarray], observations: list[GroupObservation], batch_idx) -> None:
@@ -159,7 +159,7 @@ def train(
     """
     if not observations:
         raise ValueError("no observations to train on")
-    check_observations(observations, task, model.d)
+    zs = check_observations(observations, task, model.d)  # the one check of this run's groups
     if model.k != task.k:
         raise ValueError(f"model has {model.k} classes for a task with {task.k}")
 
@@ -169,8 +169,8 @@ def train(
     n_val = int(round(config.val_fraction * len(observations)))
     if n_val >= len(observations):
         n_val = len(observations) - 1
-    val_obs = [observations[i] for i in order[:n_val]]
-    train_obs = [observations[i] for i in order[n_val:]]
+    val_obs, val_zs = [observations[i] for i in order[:n_val]], [zs[i] for i in order[:n_val]]
+    train_obs, train_zs = [observations[i] for i in order[n_val:]], [zs[i] for i in order[n_val:]]
     n_train = len(train_obs)
 
     # one eta row per training instance; rows[gi] is a view of group gi's rows
@@ -194,14 +194,14 @@ def train(
         for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
             batch_idx = epoch_order[start : start + config.batch_size].tolist()
             if warm:
-                updates = (loglik_loss(task, train_obs[gi].xs, train_obs[gi].z, model) for gi in batch_idx)
+                updates = (loglik_loss(task, train_obs[gi].xs, train_zs[gi], model) for gi in batch_idx)
             else:
                 if not config.confidence_cache:
                     _refresh(model, rows, train_obs, batch_idx)
                 usable = []  # (group, weights) of each group that is not degenerate
                 for gi in batch_idx:
                     try:
-                        usable.append((gi, compute_weights(group_posterior(task, rows[gi], train_obs[gi].z))))
+                        usable.append((gi, compute_weights(group_posterior(task, rows[gi], train_zs[gi]))))
                     except DegenerateGroupError:
                         degenerate += 1
                 if weight_probe is not None:
@@ -239,9 +239,9 @@ def train(
                 f"epoch {epoch}: every group was degenerate under the current model"
             )
 
-        likelihood = observed_likelihood(task, train_obs, model)
+        likelihood = observed_likelihood(task, train_obs, model, train_zs)
         if val_obs:
-            val_metric = observed_likelihood(task, val_obs, model) / len(val_obs)
+            val_metric = observed_likelihood(task, val_obs, model, val_zs) / len(val_obs)
         else:
             val_metric = likelihood / n_train
         metrics.append(

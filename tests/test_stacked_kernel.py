@@ -69,12 +69,12 @@ def test_joint_false_returns_the_same_pz_and_no_joint(kind, data):
     assert pz.tobytes() == task.spec.kernel(etas, zs)[0].tobytes() == task.spec.pz(etas, zs).tobytes()
 
 
-def noisy_event(etas):
+def noisy_event(rows, joint):
     """z = 1 with one joint entry cancelled below zero and one a rounding step above its marginal."""
-    joint = etas.copy()
-    joint[..., 0, 0] = np.nextafter(etas[..., 0, 0], 2.0)
-    joint[..., 1, 0] = -1e-18
-    return etas, etas[..., 0, 0], joint
+    noisy = rows.copy()
+    noisy[..., 0, 0] = np.nextafter(rows[..., 0, 0], 2.0)
+    noisy[..., 1, 0] = -1e-18
+    return rows, rows[..., 0, 0], noisy if joint else None
 
 
 @pytest.mark.parametrize("zs", [[1], [0], [1, 0], [0, 1], [0, 0]])
