@@ -148,15 +148,15 @@ MUTANTS = [
            "        value = int(value)\n", "        pass\n",
            "killed"),
     Mutant("src/agglearn/cli.py",
-           "ok = resolved[key] is None or np.asarray(resolved[key], dtype=np.float64).shape == shape",
-           "ok = True",
-           "killed"),
-    Mutant("src/agglearn/cli.py",
            '    if m is None:\n        raise UsageError(f"task {kind!r} needs an explicit --m")\n', "",
            "killed"),
     Mutant("src/agglearn/cli.py",
            "        if not valid_label_names(label_names):\n"
            '            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")\n', "",
+           "killed"),
+    # the synthetic mixture's shape rule, SyntheticSpec's own, which the CLI runs
+    Mutant("src/agglearn/data.py",
+           "if value is None or value.shape != shape:", "if value is None:",
            "killed"),
     # the assignment solve behind matched accuracy
     Mutant("src/agglearn/evaluation.py",
@@ -214,6 +214,13 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "np.stack([agree, agree], axis=-2) if joint else None", "np.stack([agree, agree], axis=-2)",
            "killed"),  # test_p_alone_builds_no_joint_and_keeps_its_bits
+    # the two floors that survive (tests/test_floor_pins.py, one test each)
+    Mutant("src/agglearn/losses.py",
+           "pz = max(post.pz, PZ_FLOOR)", "pz = max(post.pz, 1e-300)",
+           "killed"),  # test_the_likelihood_loss_floors_p_z
+    Mutant("src/agglearn/losses.py",
+           "values = -np.log(np.maximum(probs, PROB_EPS))", "values = -np.log(np.maximum(probs, 1e-300))",
+           "killed"),  # test_the_cross_entropy_value_floors_the_probability
     # equivalent, or nearly so
     Mutant("src/agglearn/training.py",
            "            val_metric = likelihood / n_train\n",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import SyntheticSpec
-from .evaluation import accuracy, group_accuracy_mil, matched_accuracy
+from .evaluation import accuracy, fit_matching, group_accuracy_mil, matched_accuracy
 from .models import ARCHITECTURES, Classifier, load_checkpoint, valid_label_names
 from .posteriors import brute_force_posterior, group_posterior, parse_int, seeded_rng
 from .tasks import TASKS, Task
@@ -100,10 +100,6 @@ def _read_object(path: str, what: str) -> dict:
     return doc
 
 
-def _load_config(path: str | None) -> dict:
-    return _read_object(path, "config file") if path else {}
-
-
 def _config_value(path: str, name: str, value, flag: dict | None):
     """A config value read as its flag reads the command line: a non-string as its
     JSON text, through the flag's type and choices. A 0/1 option takes true/false or 1/0."""
@@ -123,8 +119,9 @@ def _config_value(path: str, name: str, value, flag: dict | None):
     return typed
 
 
-def _resolve(args: argparse.Namespace, config: dict) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge config-file values and CLI flags; flags win when given."""
+    config = _read_object(args.config, "config file") if args.config else {}
     options = OPTIONS[args.command]
     unknown = sorted(set(config) - set(options))
     if unknown:
@@ -168,17 +165,10 @@ def _build_task(resolved: dict) -> Task:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config(args.config))
+    resolved = _resolve(args)
     _require(resolved, "k", "d", "n")
     k, d, n = parse_int(resolved["k"], "--k", 1), parse_int(resolved["d"], "--d", 1), resolved["n"]
     seed = parse_int(resolved["seed"] or 0, "--seed", 0)
-    for key, shape in (("means", (k, d)), ("spreads", (k,)), ("prior", (k,))):
-        try:
-            ok = resolved[key] is None or np.asarray(resolved[key], dtype=np.float64).shape == shape
-        except (TypeError, ValueError):  # ragged or non-numeric
-            ok = False
-        if not ok:
-            raise UsageError(f"{args.config}: config key {key!r} must be numbers of shape {shape}")
     means = resolved["means"]
     if means is None:
         # Evenly spaced directions at radius 3: separable but overlapping tails.
@@ -187,7 +177,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         means = np.concatenate([means, np.zeros((k, d - 2))], axis=1) if d > 2 else means[:, :d]
     spreads = resolved["spreads"] if resolved["spreads"] is not None else [1.0] * k
     prior = resolved["prior"] if resolved["prior"] is not None else [1.0 / k] * k
-    spec = SyntheticSpec(k=k, d=d, means=means, spreads=spreads, prior=prior, seed=seed)
+    try:  # means, spreads and prior come only from the config file
+        spec = SyntheticSpec(k=k, d=d, means=means, spreads=spreads, prior=prior, seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"{args.config}: {exc}") from None
     dataset = data_mod.generate_synthetic(spec, n)
 
     resolved["means"] = spec.means.tolist()
@@ -209,7 +202,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config(args.config))
+    resolved = _resolve(args)
     _require(resolved, "data", "n_groups")
     task = _build_task(resolved)
     n_groups = parse_int(resolved["n_groups"], "--n-groups", 1)
@@ -237,7 +230,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config(args.config))
+    resolved = _resolve(args)
     _require(resolved, "obs")
     observations = data_mod.load_observations(resolved["obs"])
     if resolved.get("task") is None:
@@ -246,10 +239,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         resolved["m"] = observations[0].m
     task = _build_task(resolved)
     d = observations[0].xs.shape[1]
-    try:
-        data_mod.check_observations(observations, task, d)
-    except ValueError as exc:
-        raise UsageError(f"{resolved['obs']}: {exc}") from None
 
     # class identities travel with the pipeline: the sampling step records
     # the source CSV's label-name order, and the checkpoint carries it on
@@ -297,7 +286,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     config_hash = _config_hash(resolved)
 
     model = Classifier.create(arch, head, d=d, k=task.k, seed=seed)
-    result = train(observations, task, model, train_config)
+    try:  # train() checks the observations against the task first
+        result = train(observations, task, model, train_config)
+    except ValueError as exc:
+        raise UsageError(f"{resolved['obs']}: {exc}") from None
 
     out = _out_dir(args.out_dir)
     name = resolved["name"] or f"{task.kind}_{method}"
@@ -319,7 +311,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _load_config(args.config))
+    resolved = _resolve(args)
     _require(resolved, "checkpoint", "data", "task")
     model, checkpoint = load_checkpoint(resolved["checkpoint"])
     checkpoint_names = checkpoint.get("label_names")
@@ -362,14 +354,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
     shift = 1 - task.label_values[0]
-    perm = np.arange(task.k)  # identifiable classes keep the identity matching
-    if not task.spec.identifiable:
-        perm = None  # fit on the test split itself unless --fit-data is given
-        if fit is not None:
-            fit_labels = fit.task_labels(task, positive) + shift
-            _, perm = matched_accuracy(model.predict(fit.features) + shift, fit_labels, task.k)
-        elif not resolved["fit_on_test"]:
+    perm = np.arange(task.k)  # a kind whose symmetry group is the identity keeps the identity matching
+    if task.spec.symmetry != "identity":  # fit on --fit-data, else on the test split itself
+        if fit is None and not resolved["fit_on_test"]:
             raise UsageError("matched accuracy needs --fit-data (validation split) or --fit-on-test")
+        fit_preds, fit_labels = (preds, labels) if fit is None else (
+            model.predict(fit.features), fit.task_labels(task, positive))
+        perm = fit_matching(fit_preds + shift, fit_labels + shift, task.k, task.spec.symmetry)
     frac, perm = matched_accuracy(preds + shift, labels + shift, task.k, perm=perm)
     report["modified_accuracy"] = frac
     report["permutation"] = [int(p) for p in perm]

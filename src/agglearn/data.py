@@ -110,9 +110,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         self.k, self.d = parse_int(self.k, "k", 1), parse_int(self.d, "d", 1)
-        self.means = np.asarray(self.means, dtype=np.float64).reshape(self.k, self.d)
-        self.spreads = np.asarray(self.spreads, dtype=np.float64).reshape(self.k)
-        self.prior = np.asarray(self.prior, dtype=np.float64).reshape(self.k)
+        for key, shape in (("means", (self.k, self.d)), ("spreads", (self.k,)), ("prior", (self.k,))):
+            try:
+                value = np.asarray(getattr(self, key), dtype=np.float64)
+            except (TypeError, ValueError):  # ragged or non-numeric
+                value = None
+            if value is None or value.shape != shape:
+                raise ValueError(f"{key!r} must be numbers of shape {shape}")
+            setattr(self, key, value)
         if np.any(self.spreads <= 0.0):
             raise ValueError("spreads must be positive")
         if np.any(self.prior < 0.0) or abs(self.prior.sum() - 1.0) > 1e-9:

@@ -1,10 +1,11 @@
 """Evaluation: plain accuracy, permutation-matched accuracy, bag accuracy.
 
-Pairwise and triplet supervision cannot identify which output unit is
-which semantic class, so those tasks are scored by *matched accuracy*:
-accuracy maximized over all assignments of predicted classes to true
-classes. One exact assignment solve (the Hungarian method, Kuhn 1955, in
-Python integers) finds it: cost[a][b] = b*k**(k-1-a) - counts[a][b]*k**k.
+A kind's supervision identifies the classes only up to its symmetry group
+(``TaskSpec.symmetry``): pairwise and triplet are scored by *matched accuracy*,
+maximized over all assignments of predicted to true classes, ordinal_triplet by
+the better of the identity and the class reversal. One exact assignment solve
+(the Hungarian method, Kuhn 1955, in Python integers) finds the best
+assignment: cost[a][b] = b*k**(k-1-a) - counts[a][b]*k**k.
 One matched count outweighs the whole tie-break term, which is the
 permutation read as a base-k number, so ties between equally good
 assignments break toward the lexicographically smallest permutation and
@@ -159,6 +160,15 @@ def matched_accuracy(preds, labels, k: int, perm=None) -> tuple[float, np.ndarra
     return accuracy(apply_permutation(preds, perm), parse_labels(labels, k)), perm
 
 
+def fit_matching(preds, labels, k: int, symmetry: str) -> np.ndarray:
+    """The matching in a symmetry group ("identity", "reversal" or "all" permutations) that scores 1-based
+    predictions best against labels; a tie goes to the identity, then to the lexicographically smallest."""
+    if symmetry == "all":
+        return matched_accuracy(preds, labels, k)[1]
+    group = [np.arange(k), np.arange(k)[::-1]] if symmetry == "reversal" else [np.arange(k)]
+    return max(group, key=lambda perm: matched_accuracy(preds, labels, k, perm)[0])  # max keeps the first best
+
+
 def group_accuracy_mil(
     model: Classifier, observations: list[GroupObservation], rule: str = "posterior"
 ) -> float:
@@ -178,7 +188,7 @@ def group_accuracy_mil(
     hits = 0
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
         if rule == "posterior":
-            z_hat = TASKS["mil"].pz(model.predict_proba(stack), [1] * len(idx)) >= 0.5
+            z_hat = TASKS["mil"].kernel(model.predict_proba(stack), [1] * len(idx), joint=False)[0] >= 0.5
         else:
             z_hat = np.any(model.predict(stack) == 1, axis=-1)
         hits += int(np.sum(z_hat == np.array([zs[i] for i in idx])))

@@ -178,8 +178,8 @@ def one_group(kernel, etas, z) -> GroupPosterior:
     return GroupPosterior(pz=float(pz[0]), joint=joint[0])
 
 
-def indicator(event, side: int, rows=_clamp_probs) -> dict:
-    """A 0/1 kind's registry entry {"kernel"} from ``event(rows(etas), joint)``, the stack's (marginals, p,
+def indicator(event, side: int, rows=_clamp_probs):
+    """A 0/1 kind's stacked kernel from ``event(rows(etas), joint)``, the stack's (marginals, p,
     joint or None) of z = ``side``; z = 1 - side has 1 - p and marginals - joint, its rounding noise below zero
     clamped to 0. With ``joint`` False neither event's joint is built."""
     def kernel(etas, zs, joint=True):
@@ -192,7 +192,7 @@ def indicator(event, side: int, rows=_clamp_probs) -> dict:
                 own = marginals - own if every else np.where(np.reshape(flip, (-1, 1, 1)), marginals - own, own)
         return np.maximum(p, 0.0), np.maximum(own, 0.0) if joint else None
 
-    return {"kernel": kernel}
+    return kernel
 
 
 def pairwise_event(etas, joint=True):
@@ -206,7 +206,7 @@ def posterior_pairwise(eta1, eta2, z: int) -> GroupPosterior:
     p(z=1) = sum_j eta1[j] eta2[j], and both z=1 joints equal the
     per-class agreement products.
     """
-    return one_group(indicator(pairwise_event, 1)["kernel"], parse_probs([eta1, eta2]), z)
+    return one_group(indicator(pairwise_event, 1), parse_probs([eta1, eta2]), z)
 
 
 def triplet_event(etas, joint=True):
@@ -221,7 +221,7 @@ def triplet_event(etas, joint=True):
 
 def posterior_triplet(eta1, eta2, eta3, z: int) -> GroupPosterior:
     """Comparison indicator, m=3: z = 1 iff y1 == y2 and y1 != y3."""
-    return one_group(indicator(triplet_event, 1)["kernel"], parse_probs([eta1, eta2, eta3]), z)
+    return one_group(indicator(triplet_event, 1), parse_probs([eta1, eta2, eta3]), z)
 
 
 def mil_event(etas, joint=True):
@@ -240,7 +240,7 @@ def posterior_mil(etas, z: int) -> GroupPosterior:
     forces every instance negative, so p(z=0) is the product of the
     negative probabilities and every z=0 joint row is (p(z=0), 0).
     """
-    return one_group(indicator(mil_event, 0)["kernel"], parse_probs(etas, 2), z)
+    return one_group(indicator(mil_event, 0), parse_probs(etas, 2), z)
 
 
 def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -332,7 +332,7 @@ def posterior_rank(cum1, cum2, z: int) -> GroupPosterior:
     Inputs are cumulative vectors (k+1,). p(z=1) accumulates, over the
     value j of y2, the chance that y1 lands strictly below j.
     """
-    return one_group(indicator(rank_event, 1, _check_cumulative)["kernel"], [cum1, cum2], z)
+    return one_group(indicator(rank_event, 1, _check_cumulative), [cum1, cum2], z)
 
 
 def _band(cum: np.ndarray, lo, hi) -> np.ndarray:
@@ -367,7 +367,7 @@ def ordinal_triplet_event(cum, joint=True):
 
 def posterior_ordinal_triplet(cum1, cum2, cum3, z: int) -> GroupPosterior:
     """Comparison indicator with ordinal distance, m=3: z = 1 iff |y1-y2| < |y1-y3|."""
-    return one_group(indicator(ordinal_triplet_event, 1, _check_cumulative)["kernel"], [cum1, cum2, cum3], z)
+    return one_group(indicator(ordinal_triplet_event, 1, _check_cumulative), [cum1, cum2, cum3], z)
 
 
 def group_posterior(task: Task, etas, z) -> GroupPosterior:
@@ -379,7 +379,7 @@ def group_posterior(task: Task, etas, z) -> GroupPosterior:
     """
     etas = parse_probs(etas, task.k)
     task.spec.check_group_size(etas.shape[0], task.kind)
-    return task.spec.posterior(etas, z)  # the kernel checks z by the kind's rule
+    return one_group(task.spec.kernel, etas, z)  # the kernel checks z by the kind's rule
 
 
 def label_space_product(etas) -> np.ndarray:

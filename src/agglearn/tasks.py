@@ -49,7 +49,6 @@ class TaskSpec:
     p(z | group) (G,) and p(z, y_i = j | group) (G, m, k), or None with ``joint=False``,
     which builds no joint; a group's bits do not depend on its stack. A 0/1 kind's kernel is
     ``indicator`` over an event whose ``event(rows, joint)`` returns (marginals, p, joint or None).
-    ``posterior`` runs the kernel on one group's (m, k) rows as a stack of one, ``pz`` for p(z) alone.
     """
 
     g: Callable
@@ -63,13 +62,7 @@ class TaskSpec:
     arch: str = "mlp-300"
     warmup: bool = True  # likelihood warm-up by default
     cache: bool = True  # confidence cache by default
-    identifiable: bool = True  # False: classes are known only up to a permutation
-
-    def posterior(self, etas, z) -> kernels.GroupPosterior:
-        return kernels.one_group(self.kernel, etas, z)
-
-    def pz(self, etas, zs) -> np.ndarray:
-        return self.kernel(etas, zs, joint=False)[0]
+    symmetry: str = "identity"  # label permutations keeping g: "identity", "reversal" (y -> k+1-y), "all"
 
     def parse_z(self, z, m: int, k: int | None = None):
         """z checked for a group of m by the kind's rule, ``kernels.parse_counts`` or ``parse_bit``."""
@@ -89,18 +82,18 @@ class TaskSpec:
 TASKS: dict[str, TaskSpec] = {
     "pairwise": TaskSpec(
         g=lambda y, k: [y[0] == y[1]],
-        **kernels.indicator(kernels.pairwise_event, 1),
+        kernel=kernels.indicator(kernels.pairwise_event, 1),
         m=2,
         min_k=2,
-        identifiable=False,
+        symmetry="all",
     ),
     "triplet": TaskSpec(
         # 0/1 class distance: d(y1,y2) < d(y1,y3) iff y1 == y2 and y1 != y3
         g=lambda y, k: [(y[0] == y[1]) & (y[0] != y[2])],
-        **kernels.indicator(kernels.triplet_event, 1),
+        kernel=kernels.indicator(kernels.triplet_event, 1),
         m=3,
         min_k=2,
-        identifiable=False,
+        symmetry="all",
     ),
     "llp": TaskSpec(
         g=lambda y, k: (sum(a == j for a in y) for j in range(1, k + 1)),
@@ -110,7 +103,7 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "mil": TaskSpec(
         g=lambda y, k: [functools.reduce(np.maximum, y)],
-        **kernels.indicator(kernels.mil_event, 0),
+        kernel=kernels.indicator(kernels.mil_event, 0),
         k=2,
         first_label=0,
         head="sigmoid",
@@ -120,15 +113,16 @@ TASKS: dict[str, TaskSpec] = {
     ),
     "rank": TaskSpec(
         g=lambda y, k: [y[0] < y[1]],
-        **kernels.indicator(kernels.rank_event, 1, kernels.cumulative_rows),
+        kernel=kernels.indicator(kernels.rank_event, 1, kernels.cumulative_rows),
         m=2,
         head="cumulative",
     ),
     "ordinal_triplet": TaskSpec(
         g=lambda y, k: [abs(y[0] - y[1]) < abs(y[0] - y[2])],
-        **kernels.indicator(kernels.ordinal_triplet_event, 1, kernels.cumulative_rows),
+        kernel=kernels.indicator(kernels.ordinal_triplet_event, 1, kernels.cumulative_rows),
         m=3,
         head="cumulative",
+        symmetry="reversal",
     ),
 }
 

@@ -128,7 +128,7 @@ def observed_likelihood(task: Task, observations: list[GroupObservation], model:
         zs = check_observations(observations, task, model.d)
     pz = np.empty(len(observations))
     for idx, stack in model.group_stacks([obs.xs for obs in observations]):
-        pz[idx] = task.spec.pz(model.predict_proba(stack), [zs[i] for i in idx])
+        pz[idx] = task.spec.kernel(model.predict_proba(stack), [zs[i] for i in idx], joint=False)[0]
     # cumsum adds in order, as a loop would; np.sum adds pairwise and gives other bits
     return float(np.cumsum(np.log(np.maximum(pz, PZ_FLOOR)))[-1]) if len(pz) else 0.0
 

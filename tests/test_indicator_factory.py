@@ -20,7 +20,7 @@ NEW_KIND = "agree"
 
 @pytest.fixture()
 def agree(monkeypatch):
-    spec = TaskSpec(g=lambda y, k: [y[0] == y[1]], **kernels.indicator(kernels.pairwise_event, 1), m=2, min_k=2)
+    spec = TaskSpec(g=lambda y, k: [y[0] == y[1]], kernel=kernels.indicator(kernels.pairwise_event, 1), m=2, min_k=2)
     monkeypatch.setitem(TASKS, NEW_KIND, spec)
 
 
@@ -30,7 +30,7 @@ def agree(monkeypatch):
 @given(data=st.data())
 def test_stacked_pz_equals_the_posterior_pz(agree, data):
     task, etas, zs = data.draw(stacks(NEW_KIND))
-    pz = task.spec.pz(etas, zs)
+    pz = task.spec.kernel(etas, zs, joint=False)[0]
     for g, z in enumerate(zs):
         assert pz[g] == group_posterior(task, etas[g].copy(), z).pz
 

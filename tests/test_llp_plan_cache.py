@@ -1,6 +1,6 @@
 """The label-proportion plan cache: same bits warm or cold, read-only, byte-bounded LRU.
 
-``posterior_llp`` and the llp kernel's p(z) alone (``TASKS["llp"].pz``)
+``posterior_llp`` and the llp kernel's p(z) alone (``TASKS["llp"].kernel`` with ``joint=False``)
 read each count vector's box plan (level starts and neighbour table) from
 ``posteriors._LLP_PLANS``. A plan served
 from the cache must give the bits of a freshly built one, must not be
@@ -19,7 +19,10 @@ from agglearn import posteriors
 from agglearn.posteriors import posterior_llp
 from agglearn.tasks import TASKS
 
-pz_llp = TASKS["llp"].pz
+
+def pz_llp(etas, zs):
+    return TASKS["llp"].kernel(etas, zs, joint=False)[0]
+
 
 # per-class masses before row normalization, near-0/1 entries included
 MASSES = st.one_of(st.sampled_from([0.0, 1e-300, 1e-13, 1e-9, 1.0 - 1e-9, 1.0]), st.floats(1e-6, 1.0))

@@ -6,6 +6,7 @@ enumeration over all consistent label tuples (the same definition
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestBruteForce:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_closed_form_matches_enumeration(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(50):
             task, etas, z = random_task_etas_z(kind, rng)
             closed = group_posterior(task, etas, z)
@@ -240,7 +241,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_structure_invariants(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**31)
+        rng = np.random.default_rng(zlib.crc32(kind.encode()) % 2**31)
         for _ in range(30):
             task, etas, z = random_task_etas_z(kind, rng)
             post = group_posterior(task, etas, z)

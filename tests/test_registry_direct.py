@@ -5,6 +5,7 @@ import pytest
 
 from agglearn.posteriors import (
     cumulative_rows,
+    one_group,
     posterior_mil,
     posterior_ordinal_triplet,
     posterior_pairwise,
@@ -32,6 +33,6 @@ def test_registry_posterior_equals_the_public_kernel(kind, z):
     spec = TASKS[kind]
     task = Task(kind, spec.m or 3, spec.k or 4)
     etas = np.random.default_rng(7).dirichlet(np.ones(task.k), size=task.m)
-    ours, public = spec.posterior(etas, z), PUBLIC_KERNELS[kind](etas, z)
+    ours, public = one_group(spec.kernel, etas, z), PUBLIC_KERNELS[kind](etas, z)
     assert ours.pz == public.pz
     assert np.array_equal(ours.joint, public.joint)

@@ -44,7 +44,7 @@ def stacks(draw, kind):
 @given(data=st.data())
 def test_stacked_pz_equals_the_posterior_pz(kind, data):
     task, etas, zs = data.draw(stacks(kind))
-    pz = task.spec.pz(etas, zs)
+    pz = task.spec.kernel(etas, zs, joint=False)[0]
     assert pz.shape == (len(zs),)
     for g, z in enumerate(zs):
         assert pz[g] == group_posterior(task, etas[g].copy(), z).pz
