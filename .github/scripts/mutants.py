@@ -154,7 +154,33 @@ MUTANTS = [
            "        if not valid_label_names(label_names):\n"
            '            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")\n', "",
            "killed"),
-    # the synthetic mixture's shape rule, SyntheticSpec's own, which the CLI runs
+    # one precedence rule: a given value reaches the library's check or is refused, never replaced
+    # (tests/test_cli_precedence.py)
+    Mutant("src/agglearn/cli.py",
+           "    if resolved.get(\"positive_label\") is not None and spec.first_label != 0:\n"
+           '        raise UsageError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")\n',
+           "",
+           "killed"),  # test_positive_label_is_refused_for_a_kind_without_bags
+    Mutant("src/agglearn/cli.py",
+           'k = spec.k if resolved.get("k") is None else resolved["k"]', 'k = spec.k or resolved.get("k")',
+           "killed"),  # test_aggregate_refuses_a_k_the_kind_fixes
+    Mutant("src/agglearn/cli.py",
+           '        if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:\n'
+           '            raise UsageError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")\n',
+           "",
+           "killed"),  # test_loglik_refuses_a_given_warm_up
+    Mutant("src/agglearn/cli.py",
+           '        warmup_epochs = resolved["warmup_epochs"]\n',
+           '        warmup_epochs = min(resolved["warmup_epochs"], epochs)\n',
+           "killed"),  # test_a_given_warm_up_longer_than_the_run_is_refused
+    Mutant("src/agglearn/cli.py",
+           'if len(fits) != (matched := task.spec.symmetry != "identity"):',
+           'if len(fits) < (matched := task.spec.symmetry != "identity"):',
+           "killed"),  # test_a_matched_kind_refuses_both_fit_flags
+    Mutant("src/agglearn/cli.py",
+           'for key in ("fit_data", "fit_on_test") if resolved[key]]',
+           'for key in ("fit_data", "fit_on_test") if resolved[key] and task.spec.symmetry != "identity"]',
+           "killed"),  # test_an_identity_kind_refuses_a_fit_flag_before_reading_it
     Mutant("src/agglearn/data.py",
            "if value is None or value.shape != shape:", "if value is None:",
            "killed"),
@@ -165,6 +191,15 @@ MUTANTS = [
     Mutant("src/agglearn/evaluation.py",
            "    return [j for _, j in sorted(zip(owner[1:], range(n)))]",
            "    return [owner[j] - 1 for j in range(1, n + 1)]",
+           "killed"),
+    # the LLP count box over the classes a bag holds: a zero-count class gets an all-sentinel row
+    # (tests/test_llp_many_classes.py::test_the_plan_over_held_classes_equals_the_plan_over_every_class)
+    Mutant("src/agglearn/posteriors.py",
+           "down = np.full((len(z), volume), volume, dtype=np.int32)",
+           "down = np.zeros((len(z), volume), dtype=np.int32)",
+           "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           "held = [j for j, c in enumerate(z) if c] or [0]", "held = [j for j, c in enumerate(z) if c]",
            "killed"),
     # the LLP plan cache: least recently used first, bounded in bytes
     Mutant("src/agglearn/posteriors.py",

@@ -1,12 +1,12 @@
 """Command-line pipeline: synth -> aggregate -> train -> eval, plus verify/bench.
 
-synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags, and
-flags win. A config key is its flag's name with underscores; ``OPTIONS`` types
-and checks it like the flag, and an unknown key or a bad value is a usage
-error naming the file. Outputs land in --out-dir, else $AGGLEARN_OUT_DIR, else
-the working directory. Artifacts carry the sha256 hash of the resolved
-configuration that produced them (embedded for JSON artifacts, sidecar
-``<name>.meta.json`` for CSV/JSONL files whose schema is fixed).
+synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags: a flag
+beats the config file, and a given value is used or refused, never replaced. A
+config key is its flag's name with underscores, typed and checked by ``OPTIONS``
+like the flag; an unknown key or a bad value is a usage error naming the file.
+Outputs land in --out-dir, else $AGGLEARN_OUT_DIR, else the working directory.
+Artifacts carry the sha256 of the resolved configuration that produced them
+(embedded in JSON artifacts, else in a sidecar ``<name>.meta.json``).
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's own errors
 included), 2 runtime abort, 3 verification failure.
@@ -153,12 +153,13 @@ def _build_task(resolved: dict) -> Task:
     if kind not in TASKS:
         raise UsageError(f"unknown task kind {kind!r}; expected one of {list(TASKS)}")
     spec = TASKS[kind]
-    m = resolved.get("m")
-    if m is None:
-        m = spec.m
+    if resolved.get("positive_label") is not None and spec.first_label != 0:
+        raise UsageError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")
+    # a given m or k goes to Task, which refuses one the kind fixes at another value; the kind's fills a gap
+    m = spec.m if resolved.get("m") is None else resolved["m"]
     if m is None:
         raise UsageError(f"task {kind!r} needs an explicit --m")
-    k = spec.k or resolved.get("k")
+    k = spec.k if resolved.get("k") is None else resolved["k"]
     if k is None:
         raise UsageError("missing required option --k")
     return Task(kind, m=m, k=k)
@@ -259,16 +260,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     # profile epoch budgets pair with the warm-up lengths above
     epochs = resolved["epochs"] if resolved["epochs"] is not None else (200 if profile == "small" else 100)
     method = resolved["method"] or "uum"
+    if method == "loglik":  # the likelihood baseline is the warm-up branch run for every epoch
+        if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:
+            raise UsageError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
+        warmup, warmup_epochs = True, epochs
+    warmup_epochs = min(warmup_epochs, epochs)  # a default fits --epochs; a given value meets TrainConfig's rule
     if resolved["warmup"] is not None:
         warmup = bool(resolved["warmup"])
     if resolved["warmup_epochs"] is not None:
         warmup_epochs = resolved["warmup_epochs"]
     if resolved["confidence_cache"] is not None:
         confidence_cache = bool(resolved["confidence_cache"])
-    if method == "loglik":
-        # The likelihood baseline is the warm-up branch run for every epoch.
-        warmup, warmup_epochs = True, epochs
-    warmup_epochs = min(warmup_epochs, epochs)
 
     # options not given keep TrainConfig's defaults
     given = {f: resolved[f] for f in ("batch_size", "val_fraction") if resolved[f] is not None}
@@ -318,6 +320,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if resolved.get("k") is None:
         resolved["k"] = model.k
     task = _build_task(resolved)
+    fits = [f"--{key.replace('_', '-')}" for key in ("fit_data", "fit_on_test") if resolved[key]]
+    if len(fits) != (matched := task.spec.symmetry != "identity"):  # refused before any CSV is read
+        raise UsageError(f"task {task.kind!r} (symmetry group {task.spec.symmetry!r}) takes "
+                         f"{('no', 'one')[matched]} fit flag (--fit-data or --fit-on-test), got {fits}")
     if model.head != task.spec.head:
         raise UsageError(
             f"checkpoint head {model.head!r} does not fit task {task.kind!r} "
@@ -354,13 +360,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
     shift = 1 - task.label_values[0]
-    perm = np.arange(task.k)  # a kind whose symmetry group is the identity keeps the identity matching
-    if task.spec.symmetry != "identity":  # fit on --fit-data, else on the test split itself
-        if fit is None and not resolved["fit_on_test"]:
-            raise UsageError("matched accuracy needs --fit-data (validation split) or --fit-on-test")
-        fit_preds, fit_labels = (preds, labels) if fit is None else (
-            model.predict(fit.features), fit.task_labels(task, positive))
-        perm = fit_matching(fit_preds + shift, fit_labels + shift, task.k, task.spec.symmetry)
+    fit_preds, fit_labels = (preds, labels) if fit is None else (  # fit on --fit-data, else on the test split
+        model.predict(fit.features), fit.task_labels(task, positive))
+    perm = fit_matching(fit_preds + shift, fit_labels + shift, task.k, task.spec.symmetry)
     frac, perm = matched_accuracy(preds + shift, labels + shift, task.k, perm=perm)
     report["modified_accuracy"] = frac
     report["permutation"] = [int(p) for p in perm]

@@ -248,20 +248,23 @@ def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
 
     Level L is cells starts[L]:starts[L + 1]. The read-only int32 table down[j, p] numbers
     cell c - e_j of cell p = c, or is the zero sentinel ``volume`` when c_j = 0.
+    The box is built over the classes z holds: a class of count 0 is a size-1 axis, which
+    moves neither the C order nor the levels, so its row is all sentinel and k may pass 64.
     """
-    shape = tuple(c + 1 for c in z)
+    held = [j for j, c in enumerate(z) if c] or [0]  # an empty group keeps one size-1 axis
+    shape = tuple(z[j] + 1 for j in held)
     volume = math.prod(shape)
     level = functools.reduce(np.add.outer, [np.arange(n, dtype=np.min_scalar_type(sum(z))) for n in shape])
     order = np.argsort(level, axis=None, kind="stable")  # C-order index of each numbered cell
     starts = (0, *np.cumsum(np.bincount(level.ravel())).tolist())
     numbers = np.empty(shape, dtype=np.int32)
     np.put(numbers, order, np.arange(volume, dtype=np.int32))
-    down = np.empty((len(z), volume), dtype=np.int32)
+    down = np.full((len(z), volume), volume, dtype=np.int32)
     lower = np.empty(shape, dtype=np.int32)
-    for axis in range(len(z)):
+    for axis, j in enumerate(held):
         lower.fill(volume)
         lower[(slice(None),) * axis + (slice(1, None),)] = numbers[(slice(None),) * axis + (slice(-1),)]
-        down[axis] = lower.ravel()[order]
+        down[j] = lower.ravel()[order]
     down.flags.writeable = False
     return starts, down
 
