@@ -60,7 +60,8 @@ MUTANTS = [
            "killed"),
     # the row-sum tolerance, pinned for group_posterior, is the probability-row rule's own
     Mutant("src/agglearn/posteriors.py",
-           "(np.abs(etas.sum(axis=1) - 1.0) <= 1e-6)", "(np.abs(etas.sum(axis=1) - 1.0) <= 1e-2)",
+           "np.abs(etas.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-6",
+           "np.abs(etas.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-2",
            "killed"),
     Mutant("src/agglearn/tasks.py",
            "MAX_COMPOSITIONS = 10**6", "MAX_COMPOSITIONS = 10**9",
@@ -76,6 +77,10 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "    etas = parse_probs(etas, task.k)  # checked, never changed: the oracle's arithmetic is its own\n", "",
            "killed"),
+    Mutant("src/agglearn/posteriors.py",
+           '    if not etas.min(initial=0.0) >= 0.0:\n        raise ValueError("probability entries must be nonnegative")\n',
+           "",
+           "killed"),  # test_every_entry_point_refuses_malformed_rows_with_one_message[...-rows of (2, -1)]
     # written as the label the caller holds: a numpy integer or array is not JSON
     Mutant("src/agglearn/data.py",
            '"z": z, "task": obs.task_kind', '"z": obs.z, "task": obs.task_kind',
@@ -148,17 +153,17 @@ MUTANTS = [
            "        value = int(value)\n", "        pass\n",
            "killed"),
     Mutant("src/agglearn/cli.py",
-           '    if m is None:\n        raise UsageError(f"task {kind!r} needs an explicit --m")\n', "",
+           '    if m is None:\n        raise ValueError(f"task {kind!r} needs an explicit --m")\n', "",
            "killed"),
     Mutant("src/agglearn/cli.py",
            "        if not valid_label_names(label_names):\n"
-           '            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")\n', "",
+           '            raise ValueError(f"{obs_meta}: label_names must be null or a list of distinct strings")\n', "",
            "killed"),
     # one precedence rule: a given value reaches the library's check or is refused, never replaced
     # (tests/test_cli_precedence.py)
     Mutant("src/agglearn/cli.py",
            "    if resolved.get(\"positive_label\") is not None and spec.first_label != 0:\n"
-           '        raise UsageError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")\n',
+           '        raise ValueError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")\n',
            "",
            "killed"),  # test_positive_label_is_refused_for_a_kind_without_bags
     Mutant("src/agglearn/cli.py",
@@ -166,7 +171,7 @@ MUTANTS = [
            "killed"),  # test_aggregate_refuses_a_k_the_kind_fixes
     Mutant("src/agglearn/cli.py",
            '        if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:\n'
-           '            raise UsageError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")\n',
+           '            raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")\n',
            "",
            "killed"),  # test_loglik_refuses_a_given_warm_up
     Mutant("src/agglearn/cli.py",
@@ -181,6 +186,25 @@ MUTANTS = [
            'for key in ("fit_data", "fit_on_test") if resolved[key]]',
            'for key in ("fit_data", "fit_on_test") if resolved[key] and task.spec.symmetry != "identity"]',
            "killed"),  # test_an_identity_kind_refuses_a_fit_flag_before_reading_it
+    # one output rule and one empty-value rule (tests/test_cli_outputs.py)
+    Mutant("src/agglearn/cli.py",
+           'out = args.out_dir or os.environ.get("AGGLEARN_OUT_DIR") or "."', 'out = args.out_dir or "."',
+           "killed"),  # test_out_dir_env_var
+    Mutant("src/agglearn/cli.py",
+           '{"config_hash": _config_hash(resolved), **fields}', "fields",
+           "killed"),  # test_metadata_carries_config_hash
+    Mutant("src/agglearn/cli.py",
+           'for name in ("config", "out_dir", *options):', "for name in options:",
+           "killed"),  # test_an_empty_flag_is_refused_before_any_file_is_read[synth --out-dir]
+    Mutant("src/agglearn/cli.py",
+           'for name in ("config", "out_dir", *options):', 'for name in ("config", "out_dir"):',
+           "killed"),  # test_an_empty_flag_is_refused_before_any_file_is_read[synth --name]
+    Mutant("src/agglearn/cli.py",
+           '    if value == "":\n        raise ValueError(f"{path}: empty value for config key {name!r}")\n', "",
+           "killed"),  # test_an_empty_config_value_is_refused_naming_the_file_and_key
+    Mutant("src/agglearn/cli.py",
+           'default if resolved["name"] is None else resolved["name"]', 'resolved["name"] or default',
+           "equivalent: _resolve refuses an empty --name or config name first, so only None reaches the fallback"),
     Mutant("src/agglearn/data.py",
            "if value is None or value.shape != shape:", "if value is None:",
            "killed"),
@@ -249,6 +273,33 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "np.stack([agree, agree], axis=-2) if joint else None", "np.stack([agree, agree], axis=-2)",
            "killed"),  # test_p_alone_builds_no_joint_and_keeps_its_bits
+    # the update path: warm-up length, batch mean, gradient forms, the EM refusal
+    Mutant("src/agglearn/training.py",
+           "warm = config.warmup and epoch <= config.warmup_epochs", "warm = config.warmup and epoch < config.warmup_epochs",
+           "killed"),  # test_acceptance.py::TestCriterion9AlgorithmFidelity::test_full_warmup_is_bit_identical_to_likelihood_baseline
+    Mutant("src/agglearn/training.py",
+           "adam_step(model, [g / contributed for g in grads], opt)", "adam_step(model, grads, opt)",
+           "killed"),  # test_acceptance.py::TestCriterion9AlgorithmFidelity::test_full_warmup_is_bit_identical_to_likelihood_baseline
+    Mutant("src/agglearn/losses.py",
+           'return grad[:, 1:2] if model.head == "sigmoid" else grad', 'return grad[:, 0:1] if model.head == "sigmoid" else grad',
+           "killed"),  # test_acceptance.py::TestCriterion5Gradients::test_finite_difference_agreement
+    Mutant("src/agglearn/losses.py",
+           'dlogits = np.einsum("ij,ijc->ic", weights, np.asarray(dvalues)) / m',
+           'dlogits = np.einsum("ij,ijc->ic", weights, np.asarray(dvalues))',
+           "killed"),  # test_losses.py::TestAggregateLoss::test_custom_instance_loss_plugs_in
+    Mutant("src/agglearn/losses.py",
+           '    if not total > 0.0:\n        raise DegenerateGroupError("no consistent labeling has usable probability")\n', "",
+           "killed"),  # test_refusals_reached.py::test_refusal_is_reached[empty S(z)]
+    # the 0/1 kinds' events (triplet, mil, rank) against the enumeration oracle
+    Mutant("src/agglearn/posteriors.py",
+           "hit = pair12 * (1.0 - etas[..., 2, :])", "hit = pair12 * etas[..., 2, :]",
+           "killed"),  # test_acceptance.py::TestCriterion1And2Oracle::test_oracle_equivalence_marginalization_normalization
+    Mutant("src/agglearn/posteriors.py",
+           "out[..., 0] = pz[..., None]", "out[..., 1] = pz[..., None]",
+           "killed"),  # test_acceptance.py::TestCriterion1And2Oracle::test_oracle_equivalence_marginalization_normalization
+    Mutant("src/agglearn/posteriors.py",
+           "below1 = cum[..., 0, :-1] * probs[..., 1, :]", "below1 = cum[..., 0, 1:] * probs[..., 1, :]",
+           "killed"),  # test_acceptance.py::TestCriterion1And2Oracle::test_oracle_equivalence_marginalization_normalization
     # the two floors that survive (tests/test_floor_pins.py, one test each)
     Mutant("src/agglearn/losses.py",
            "pz = max(post.pz, PZ_FLOOR)", "pz = max(post.pz, 1e-300)",

@@ -4,9 +4,11 @@ synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags: a flag
 beats the config file, and a given value is used or refused, never replaced. A
 config key is its flag's name with underscores, typed and checked by ``OPTIONS``
 like the flag; an unknown key or a bad value is a usage error naming the file.
-Outputs land in --out-dir, else $AGGLEARN_OUT_DIR, else the working directory.
-Artifacts carry the sha256 of the resolved configuration that produced them
-(embedded in JSON artifacts, else in a sidecar ``<name>.meta.json``).
+An empty string, as a flag or a config value, is refused naming it. Each command
+writes to one path stem: --name, else its default (dataset, <kind>_groups,
+<kind>_<method>, <kind>_report), in --out-dir, else $AGGLEARN_OUT_DIR, else the
+working directory. Artifacts carry the sha256 of the resolved configuration that
+produced them (embedded in JSON artifacts, else in a sidecar ``<file>.meta.json``).
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's own errors
 included), 2 runtime abort, 3 verification failure.
@@ -38,19 +40,17 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _config_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _out_dir(value: str | None) -> str:
-    out = value or os.environ.get("AGGLEARN_OUT_DIR") or "."
+def _stem(args: argparse.Namespace, resolved: dict, default: str) -> str:
+    """A command's output path before its suffix: --name, else ``default``, in --out-dir, else
+    $AGGLEARN_OUT_DIR, else the working directory, made if missing."""
+    out = args.out_dir or os.environ.get("AGGLEARN_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, default if resolved["name"] is None else resolved["name"])
 
 
 # Each option of synth, aggregate, train and eval, declared once: its flag's
@@ -92,22 +92,24 @@ def _read_object(path: str, what: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: not valid JSON: {exc}") from None
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
-        raise UsageError(f"{path}: {what} must hold a JSON object")
+        raise ValueError(f"{path}: {what} must hold a JSON object")
     return doc
 
 
 def _config_value(path: str, name: str, value, flag: dict | None):
-    """A config value read as its flag reads the command line: a non-string as its
-    JSON text, through the flag's type and choices. A 0/1 option takes true/false or 1/0."""
+    """A config value read as its flag reads the command line: a non-string as its JSON text, through
+    the flag's type and choices. A 0/1 option takes true/false or 1/0; an empty string is refused."""
+    if value == "":
+        raise ValueError(f"{path}: empty value for config key {name!r}")
     if value is None or flag is None:
         return value
     if isinstance(value, bool) and flag.get("choices") == [0, 1]:
         value = int(value)
-    invalid = UsageError(f"{path}: invalid value {json.dumps(value)} for config key {name!r}")
+    invalid = ValueError(f"{path}: invalid value {json.dumps(value)} for config key {name!r}")
     switch = "const" in flag
     text = value if isinstance(value, str) else json.dumps(value)
     try:
@@ -120,12 +122,15 @@ def _config_value(path: str, name: str, value, flag: dict | None):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge config-file values and CLI flags; flags win when given."""
-    config = _read_object(args.config, "config file") if args.config else {}
+    """Merge config-file values and CLI flags; flags win when given. An empty flag is refused."""
     options = OPTIONS[args.command]
+    for name in ("config", "out_dir", *options):
+        if getattr(args, name, None) == "":
+            raise ValueError(f"empty value for --{name.replace('_', '-')}")
+    config = _read_object(args.config, "config file") if args.config else {}
     unknown = sorted(set(config) - set(options))
     if unknown:
-        raise UsageError(f"{args.config}: unknown config keys {unknown} for {args.command}; "
+        raise ValueError(f"{args.config}: unknown config keys {unknown} for {args.command}; "
                          f"known: {list(options)}")
     resolved = {}
     for name, flag in options.items():
@@ -138,7 +143,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _require(resolved: dict, *names: str) -> None:
     for name in names:
         if resolved.get(name) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -147,21 +152,26 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_meta(path: str, resolved: dict, **fields) -> None:
+    """The sidecar ``<path>.meta.json``: the configuration's hash, then the command's own fields."""
+    _write_json(path + ".meta.json", {"config_hash": _config_hash(resolved), **fields})
+
+
 def _build_task(resolved: dict) -> Task:
     _require(resolved, "task")
     kind = resolved["task"]
     if kind not in TASKS:
-        raise UsageError(f"unknown task kind {kind!r}; expected one of {list(TASKS)}")
+        raise ValueError(f"unknown task kind {kind!r}; expected one of {list(TASKS)}")
     spec = TASKS[kind]
     if resolved.get("positive_label") is not None and spec.first_label != 0:
-        raise UsageError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")
+        raise ValueError(f"--positive-label names the class a bag reads as 1; task {kind!r} has no bags")
     # a given m or k goes to Task, which refuses one the kind fixes at another value; the kind's fills a gap
     m = spec.m if resolved.get("m") is None else resolved["m"]
     if m is None:
-        raise UsageError(f"task {kind!r} needs an explicit --m")
+        raise ValueError(f"task {kind!r} needs an explicit --m")
     k = spec.k if resolved.get("k") is None else resolved["k"]
     if k is None:
-        raise UsageError("missing required option --k")
+        raise ValueError("missing required option --k")
     return Task(kind, m=m, k=k)
 
 
@@ -181,23 +191,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     try:  # means, spreads and prior come only from the config file
         spec = SyntheticSpec(k=k, d=d, means=means, spreads=spreads, prior=prior, seed=seed)
     except ValueError as exc:
-        raise UsageError(f"{args.config}: {exc}") from None
+        raise ValueError(f"{args.config}: {exc}") from None
     dataset = data_mod.generate_synthetic(spec, n)
 
     resolved["means"] = spec.means.tolist()
     resolved["spreads"] = spec.spreads.tolist()
     resolved["prior"] = spec.prior.tolist()
-    out = _out_dir(args.out_dir)
-    name = resolved["name"] or "dataset"
-    csv_path = os.path.join(out, f"{name}.csv")
+    csv_path = _stem(args, resolved, "dataset") + ".csv"
     data_mod.save_csv(dataset, csv_path)
-    meta = {
-        "config_hash": _config_hash(resolved),
-        "spec": spec.to_json(),
-        "n": n,
-        "columns": {"label": "label"},
-    }
-    _write_json(csv_path + ".meta.json", meta)
+    _write_meta(csv_path, resolved, spec=spec.to_json(), n=n, columns={"label": "label"})
     print(csv_path)
     return EXIT_OK
 
@@ -216,16 +218,11 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         seed=parse_int(resolved["seed"] or 0, "--seed", 0),
         positive_label=resolved["positive_label"],
     )
-    out = _out_dir(args.out_dir)
-    name = resolved["name"] or f"{task.kind}_groups"
-    obs_path = os.path.join(out, f"{name}.jsonl")
+    obs_path = _stem(args, resolved, f"{task.kind}_groups") + ".jsonl"
     data_mod.save_observations(observations, obs_path)
     resolved["m"], resolved["k"] = task.m, task.k
-    _write_json(
-        obs_path + ".meta.json",
-        {"config_hash": _config_hash(resolved), "task": task.kind, "m": task.m, "k": task.k,
-         "n_groups": len(observations), "label_names": dataset.label_names},
-    )
+    _write_meta(obs_path, resolved, task=task.kind, m=task.m, k=task.k,
+                n_groups=len(observations), label_names=dataset.label_names)
     print(obs_path)
     return EXIT_OK
 
@@ -249,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if os.path.exists(obs_meta):
         label_names = _read_object(obs_meta, "observation meta file").get("label_names")
         if not valid_label_names(label_names):
-            raise UsageError(f"{obs_meta}: label_names must be null or a list of distinct strings")
+            raise ValueError(f"{obs_meta}: label_names must be null or a list of distinct strings")
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
@@ -262,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     method = resolved["method"] or "uum"
     if method == "loglik":  # the likelihood baseline is the warm-up branch run for every epoch
         if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:
-            raise UsageError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
+            raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
         warmup, warmup_epochs = True, epochs
     warmup_epochs = min(warmup_epochs, epochs)  # a default fits --epochs; a given value meets TrainConfig's rule
     if resolved["warmup"] is not None:
@@ -285,29 +282,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     resolved.update(train_config.to_json())
     resolved.update({"arch": arch, "head": head, "method": method, "m": task.m, "k": task.k})
-    config_hash = _config_hash(resolved)
 
     model = Classifier.create(arch, head, d=d, k=task.k, seed=seed)
     try:  # train() checks the observations against the task first
         result = train(observations, task, model, train_config)
     except ValueError as exc:
-        raise UsageError(f"{resolved['obs']}: {exc}") from None
+        raise ValueError(f"{resolved['obs']}: {exc}") from None
 
-    out = _out_dir(args.out_dir)
-    name = resolved["name"] or f"{task.kind}_{method}"
-    ckpt_path = os.path.join(out, f"{name}.checkpoint.json")
+    stem = _stem(args, resolved, f"{task.kind}_{method}")
+    ckpt_path = stem + ".checkpoint.json"
     result.model.save(
         ckpt_path,
-        extra={"config_hash": config_hash, "task": task.kind, "label_names": label_names},
+        extra={"config_hash": _config_hash(resolved), "task": task.kind, "label_names": label_names},
     )
-    metrics_path = os.path.join(out, f"{name}.metrics.jsonl")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with open(stem + ".metrics.jsonl", "w", encoding="utf-8") as fh:
         for record in result.metrics:
             fh.write(json.dumps(record.to_json()) + "\n")
-    _write_json(
-        metrics_path + ".meta.json",
-        {"config_hash": config_hash, "best_epoch": result.best_epoch},
-    )
+    _write_meta(stem + ".metrics.jsonl", resolved, best_epoch=result.best_epoch)
     print(ckpt_path)
     return EXIT_OK
 
@@ -322,10 +313,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     task = _build_task(resolved)
     fits = [f"--{key.replace('_', '-')}" for key in ("fit_data", "fit_on_test") if resolved[key]]
     if len(fits) != (matched := task.spec.symmetry != "identity"):  # refused before any CSV is read
-        raise UsageError(f"task {task.kind!r} (symmetry group {task.spec.symmetry!r}) takes "
+        raise ValueError(f"task {task.kind!r} (symmetry group {task.spec.symmetry!r}) takes "
                          f"{('no', 'one')[matched]} fit flag (--fit-data or --fit-on-test), got {fits}")
     if model.head != task.spec.head:
-        raise UsageError(
+        raise ValueError(
             f"checkpoint head {model.head!r} does not fit task {task.kind!r} "
             f"(expects {task.spec.head!r})"
         )
@@ -338,11 +329,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     canonical = checkpoint_names or splits.get("fit_data", splits["data"]).label_names
     for key, split in splits.items():
         if split.d != model.d:
-            raise UsageError(f"{resolved[key]}: {split.d} feature columns, the checkpoint takes {model.d}")
+            raise ValueError(f"{resolved[key]}: {split.d} feature columns, the checkpoint takes {model.d}")
         try:
             splits[key] = split.relabel_to(canonical)
         except ValueError as exc:
-            raise UsageError(f"{resolved[key]}: {exc}") from None
+            raise ValueError(f"{resolved[key]}: {exc}") from None
     test, fit = splits["data"], splits.get("fit_data")
 
     positive = resolved["positive_label"]
@@ -356,7 +347,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             report["group_accuracy"] = group_accuracy_mil(model, bags)
         except ValueError as exc:
-            raise UsageError(f"{resolved['obs']}: {exc}") from None
+            raise ValueError(f"{resolved['obs']}: {exc}") from None
 
     # class matching counts classes 1..k, so the bag alphabet {0, 1} shifts up by one
     shift = 1 - task.label_values[0]
@@ -368,9 +359,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report["permutation"] = [int(p) for p in perm]
 
     report["config_hash"] = _config_hash(resolved)
-    out = _out_dir(args.out_dir)
-    name = resolved["name"] or f"{task.kind}_report"
-    report_path = os.path.join(out, f"{name}.json")
+    report_path = _stem(args, resolved, f"{task.kind}_report") + ".json"
     _write_json(report_path, report)
     print(report_path)
     return EXIT_OK
@@ -451,7 +440,7 @@ def main(argv=None) -> int:
         raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingAbortError, FloatingPointError) as exc:

@@ -125,14 +125,16 @@ def parse_counts(z, m: int, k: int | None = None) -> tuple[int, ...]:
 
 
 def parse_probs(etas, k: int | None = None) -> np.ndarray:
-    """The probability-row rule: etas as float64 (m, k) rows (k given or not), each summing to 1 within 1e-6, else ValueError."""
+    """The probability-row rule: etas as float64 (m, k) nonnegative rows (k given or not), each summing to 1 within 1e-6, else ValueError."""
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 2:
         raise ValueError("etas must be (m, k)")
     if k is not None and etas.shape[1] != k:
         raise ValueError(f"got {etas.shape[1]} classes for a task with {k}")
-    if not (np.abs(etas.sum(axis=1) - 1.0) <= 1e-6).all():  # NaN fails every comparison
+    if not np.abs(etas.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-6:  # NaN fails every comparison
         raise ValueError("each probability row must sum to 1")
+    if not etas.min(initial=0.0) >= 0.0:
+        raise ValueError("probability entries must be nonnegative")
     return etas
 
 

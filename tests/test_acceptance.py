@@ -15,6 +15,7 @@ from agglearn.evaluation import (
     accuracy,
     brute_force_matching,
     confusion_counts,
+    fit_matching,
     group_accuracy_mil,
     matched_accuracy,
     modified_accuracy,
@@ -221,6 +222,39 @@ class TestCriterion7DeskScaleLearning:
             f"bag-level acc {bag_acc:.4f}",
             inst_acc >= sup_acc - 0.05,
         )
+
+    @staticmethod
+    def _train_ordinal(kind, m):
+        """The 3-class mixture at a smaller budget than the runs above: 1,000 groups, 20 epochs."""
+        train_ds = harness.mixture_3class(1500, seed=11)
+        supervised = harness.train_supervised(train_ds, "mlp-300", "cumulative", epochs=50, seed=1)
+        task = Task(kind, m, 3)
+        obs = sample_groups(train_ds, task, m=m, n_groups=1000, seed=25)
+        model = Classifier.create("mlp-300", "cumulative", d=2, k=3, seed=1)
+        train(obs, task, model, TrainConfig(epochs=20, warmup=True, warmup_epochs=5,
+                                            confidence_cache=True, batch_size=128, seed=5))
+        return model, supervised
+
+    def test_rank(self):
+        test_ds = harness.mixture_3class(2000, seed=12)
+        model, supervised = self._train_ordinal("rank", 2)
+        sup_acc = accuracy(supervised.predict(test_ds.features), test_ds.labels)
+        # rank fixes the class order, so plain accuracy applies
+        rank_acc = accuracy(model.predict(test_ds.features), test_ds.labels)
+        _report("7/rank", f"test acc {rank_acc:.4f} vs supervised {sup_acc:.4f} (margin 0.05)",
+                rank_acc >= sup_acc - 0.05)
+
+    def test_ordinal_triplet(self):
+        val_ds = harness.mixture_3class(500, seed=13)
+        test_ds = harness.mixture_3class(2000, seed=12)
+        model, supervised = self._train_ordinal("ordinal_triplet", 3)
+        sup_acc = accuracy(supervised.predict(test_ds.features), test_ds.labels)
+        # the label cannot tell the class order from its reverse: fit one of the two on val
+        perm = fit_matching(model.predict(val_ds.features), val_ds.labels, 3, "reversal")
+        frac, _ = matched_accuracy(model.predict(test_ds.features), test_ds.labels, 3, perm=perm)
+        _report("7/ordinal_triplet",
+                f"test acc {frac:.4f} under matching {[int(p) for p in perm]} vs supervised {sup_acc:.4f} (margin 0.05)",
+                frac >= sup_acc - 0.05)
 
 
 VEHICLE_ENV = "AGGLEARN_VEHICLE_CSV"

@@ -1,10 +1,10 @@
 """The probability-row rule, ``posteriors.parse_probs``, speaks the same at every entry point
 that takes per-class rows: the dispatcher, the oracle, the EM path and the public kernels.
 
-A row is a distribution over the k classes: a 2-D (m, k) array whose rows each sum to 1
-within 1e-6. Where the entry point knows k (from the task, or k = 2 for bags) the column
-count must match it; the pairwise and triplet kernels take k from the rows, and the
-label-proportion kernel checks it against its count vector by the count rule.
+A row is a distribution over the k classes: a 2-D (m, k) array of nonnegative entries whose
+rows each sum to 1 within 1e-6. Where the entry point knows k (from the task, or k = 2 for
+bags) the column count must match it; the pairwise and triplet kernels take k from the rows,
+and the label-proportion kernel checks it against its count vector by the count rule.
 """
 
 import numpy as np
@@ -83,6 +83,8 @@ MALFORMED = [
     ("a row summing to 0.99", lambda m, k: off_by(m, k, -0.01), "^each probability row must sum to 1$"),
     ("a row missing 1 by 1e-5", lambda m, k: off_by(m, k, 1e-5), "^each probability row must sum to 1$"),
     ("a NaN entry", with_nan, "^each probability row must sum to 1$"),
+    ("rows of (2, -1)", lambda m, k: np.tile([2.0, -1.0] + [0.0] * (k - 2), (m, 1)),
+     "^probability entries must be nonnegative$"),
     ("ragged rows", ragged, "inhomogeneous shape"),
 ]
 
