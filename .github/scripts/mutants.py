@@ -175,8 +175,9 @@ MUTANTS = [
            "",
            "killed"),  # test_loglik_refuses_a_given_warm_up
     Mutant("src/agglearn/cli.py",
-           '        warmup_epochs = resolved["warmup_epochs"]\n',
-           '        warmup_epochs = min(resolved["warmup_epochs"], epochs)\n',
+           '{s: bool(config[s]) for s in ("warmup", "confidence_cache")})',
+           '{s: bool(config[s]) for s in ("warmup", "confidence_cache")}'
+           ' | {"warmup_epochs": min(config["warmup_epochs"], config["epochs"])})',
            "killed"),  # test_a_given_warm_up_longer_than_the_run_is_refused
     Mutant("src/agglearn/cli.py",
            'if len(fits) != (matched := task.spec.symmetry != "identity"):',
@@ -205,6 +206,28 @@ MUTANTS = [
     Mutant("src/agglearn/cli.py",
            'default if resolved["name"] is None else resolved["name"]', 'resolved["name"] or default',
            "equivalent: _resolve refuses an empty --name or config name first, so only None reaches the fallback"),
+    # one default rule: defaults fill the gaps before the hash, train's config is one overlay, and a
+    # given value the run would not use is refused (tests/test_cli_defaults.py unless named)
+    Mutant("src/agglearn/cli.py",
+           '(given, value, (flag or {}).get("default"))', "(given, value)",
+           "killed"),  # TestDefaultsAreHashed::test_synth
+    Mutant("src/agglearn/cli.py",
+           '**flag | {"default": None})', "**flag)",
+           "killed"),  # test_cli_precedence.py::TestWarmUp::test_loglik_refuses_a_warm_up_from_the_config_file
+    Mutant("src/agglearn/cli.py",
+           "    config.update({f.name: resolved[f.name] for f in fields(TrainConfig) if resolved[f.name] is not None})\n",
+           "",
+           "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[pairwise-flags0]
+    Mutant("src/agglearn/cli.py",
+           'if resolved["warmup_epochs"] and not train_config.warmup or resolved["warmup"]',
+           'if resolved["warmup"]',
+           "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[pairwise-flags0]
+    Mutant("src/agglearn/cli.py",
+           ' or resolved["warmup"] and not train_config.warmup_epochs:', ":",
+           "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[llp-flags1]
+    Mutant("src/agglearn/cli.py",
+           "os.path.basename(resolved[\"name\"]) != resolved[\"name\"]", "False",
+           "killed"),  # TestNameWithADirectory::test_a_name_with_a_path_separator_is_refused
     Mutant("src/agglearn/data.py",
            "if value is None or value.shape != shape:", "if value is None:",
            "killed"),
@@ -225,6 +248,12 @@ MUTANTS = [
     Mutant("src/agglearn/posteriors.py",
            "held = [j for j, c in enumerate(z) if c] or [0]", "held = [j for j, c in enumerate(z) if c]",
            "killed"),
+    # the LLP box bound, checked where a plan is built (tests/test_llp_plan_bound.py); the mutant lets
+    # a box pass up to 100 cells over the bound, since with no check at all tests/test_llp_inputs.py
+    # would build its 4.8e8-cell box and run out of memory
+    Mutant("src/agglearn/posteriors.py",
+           "    if (len(z) + 2) * volume > MAX_LLP_BOX:\n", "    if (len(z) + 2) * volume > MAX_LLP_BOX + 100:\n",
+           "killed"),  # test_the_plan_builder_refuses_a_box_over_the_bound
     # the LLP plan cache: least recently used first, bounded in bytes
     Mutant("src/agglearn/posteriors.py",
            "            _LLP_PLANS[z] = _LLP_PLANS.pop(z)\n", "",
@@ -250,7 +279,7 @@ MUTANTS = [
            "np.maximum(own, 0.0) if joint else None", "own if joint else None",
            "killed"),
     Mutant("src/agglearn/posteriors.py",
-           "np.maximum(joints, 0.0) if joint else None", "np.maximum(joints, 0.0)",
+           "np.empty(np.shape(etas)) if joint else None", "np.empty(np.shape(etas))",
            "killed"),
     Mutant("src/agglearn/posteriors.py",
            "return GroupPosterior(pz=float(pz[0]), joint=joint[0])", "return GroupPosterior(pz=float(pz[0]), joint=joint)",
@@ -315,10 +344,6 @@ MUTANTS = [
     Mutant("src/agglearn/losses.py",
            "if not (sums > 0.0).all():", "if not (sums > 0.0).any():",
            "equivalent: every joint row sums to the same p(z), so one positive row means all are"),
-    Mutant("src/agglearn/posteriors.py",
-           "return np.maximum(pz, 0.0), np.maximum(joints, 0.0) if joint else None",
-           "return pz, np.maximum(joints, 0.0) if joint else None",
-           "equivalent: only a p(z) cancelled below zero differs, and training floors p(z) at PZ_FLOOR"),
     Mutant("src/agglearn/posteriors.py",
            "return np.maximum(p, 0.0), np.maximum(own, 0.0) if joint else None",
            "return p, np.maximum(own, 0.0) if joint else None",

@@ -1,13 +1,15 @@
 """Command-line pipeline: synth -> aggregate -> train -> eval, plus verify/bench.
 
 synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags: a flag
-beats the config file, and a given value is used or refused, never replaced. A
-config key is its flag's name with underscores, typed and checked by ``OPTIONS``
-like the flag; an unknown key or a bad value is a usage error naming the file.
-An empty string, as a flag or a config value, is refused naming it. Each command
-writes to one path stem: --name, else its default (dataset, <kind>_groups,
-<kind>_<method>, <kind>_report), in --out-dir, else $AGGLEARN_OUT_DIR, else the
-working directory. Artifacts carry the sha256 of the resolved configuration that
+beats the config file, a given value is used or refused, never replaced, and a
+default (declared in ``OPTIONS``, or derived by train) fills only a gap both leave.
+A config key is its flag's name with underscores, typed and checked by ``OPTIONS``
+like the flag; an unknown key or a bad value is a usage error naming the file. An
+empty string, a --name holding a path separator, and a --warmup or --warmup-epochs
+the run would not use are refused naming them. Each command writes to one path
+stem: --name, else its default (dataset, <kind>_groups, <kind>_<method>,
+<kind>_report), in --out-dir, else $AGGLEARN_OUT_DIR, else the working directory.
+Artifacts carry the sha256 of the resolved configuration, defaults filled, that
 produced them (embedded in JSON artifacts, else in a sidecar ``<file>.meta.json``).
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's own errors
@@ -22,13 +24,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import data as data_mod
 from .data import SyntheticSpec
 from .evaluation import accuracy, fit_matching, group_accuracy_mil, matched_accuracy
-from .models import ARCHITECTURES, Classifier, load_checkpoint, valid_label_names
+from .models import ARCHITECTURES, DEFAULT_LR, Classifier, load_checkpoint, valid_label_names
 from .posteriors import brute_force_posterior, group_posterior, parse_int, seeded_rng
 from .tasks import TASKS, Task
 from .training import TrainConfig, TrainingAbortError, default_flags, train
@@ -53,34 +56,35 @@ def _stem(args: argparse.Namespace, resolved: dict, default: str) -> str:
     return os.path.join(out, default if resolved["name"] is None else resolved["name"])
 
 
-# Each option of synth, aggregate, train and eval, declared once: its flag's
-# argparse keywords (key n_groups is flag --n-groups), or None if only --config sets it.
+# Each option of synth, aggregate, train and eval, declared once: its flag's argparse keywords
+# (key n_groups is flag --n-groups) and static "default", or None if only --config sets it.
+SEED, LABEL_COLUMN = {"type": int, "default": 0}, {"default": "label"}  # options of several commands
 OPTIONS: dict[str, dict[str, dict | None]] = {
     "synth": {
-        "k": {"type": int}, "d": {"type": int}, "n": {"type": int}, "seed": {"type": int},
+        "k": {"type": int}, "d": {"type": int}, "n": {"type": int}, "seed": SEED,
         "means": None, "spreads": None, "prior": None, "name": {},
     },
     "aggregate": {
         "data": {}, "task": {"choices": list(TASKS)}, "m": {"type": int}, "k": {"type": int},
-        "n_groups": {"type": int}, "seed": {"type": int}, "positive_label": {"type": int},
-        "label_column": {}, "name": {},
+        "n_groups": {"type": int}, "seed": SEED, "positive_label": {"type": int},
+        "label_column": LABEL_COLUMN, "name": {},
     },
     "train": {
         "obs": {}, "task": {}, "m": {"type": int}, "k": {"type": int},
-        "arch": {"choices": list(ARCHITECTURES)}, "method": {"choices": ["uum", "loglik"]},
+        "arch": {"choices": list(ARCHITECTURES)}, "method": {"choices": ["uum", "loglik"], "default": "uum"},
         "epochs": {"type": int},
         "warmup": {"type": int, "choices": [0, 1], "help": "log-likelihood warm-up phase"},
         "warmup_epochs": {"type": int},
         "confidence_cache": {"type": int, "choices": [0, 1]},
-        "batch_size": {"type": int}, "learning_rate": {"type": float}, "seed": {"type": int},
-        "val_fraction": {"type": float}, "profile": {"choices": ["small", "large"]}, "name": {},
+        "batch_size": {"type": int}, "learning_rate": {"type": float}, "seed": SEED,
+        "val_fraction": {"type": float}, "profile": {"choices": ["small", "large"], "default": "small"}, "name": {},
     },
     "eval": {
         "checkpoint": {}, "data": {},
         "fit_data": {"help": "labeled split for fitting the class matching"},
         "fit_on_test": {"action": "store_const", "const": 1,
                         "help": "fit the class matching on the test split itself"},
-        "task": {}, "m": {"type": int}, "k": {"type": int}, "label_column": {},
+        "task": {}, "m": {"type": int}, "k": {"type": int}, "label_column": LABEL_COLUMN,
         "obs": {"help": "bag observations for group-level accuracy"},
         "positive_label": {"type": int}, "name": {},
     },
@@ -122,7 +126,8 @@ def _config_value(path: str, name: str, value, flag: dict | None):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge config-file values and CLI flags; flags win when given. An empty flag is refused."""
+    """Merge config-file values and CLI flags; flags win when given, and a static default fills the
+    gap both leave. An empty flag and a --name holding a path separator are refused."""
     options = OPTIONS[args.command]
     for name in ("config", "out_dir", *options):
         if getattr(args, name, None) == "":
@@ -136,7 +141,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     for name, flag in options.items():
         value = _config_value(args.config, name, config.get(name), flag)
         given = getattr(args, name, None)
-        resolved[name] = value if given is None else given
+        resolved[name] = next((v for v in (given, value, (flag or {}).get("default")) if v is not None), None)
+    if resolved["name"] is not None and os.path.basename(resolved["name"]) != resolved["name"]:
+        raise ValueError(f"--name {resolved['name']!r} holds a path separator; give the directory as --out-dir")
     return resolved
 
 
@@ -179,7 +186,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "k", "d", "n")
     k, d, n = parse_int(resolved["k"], "--k", 1), parse_int(resolved["d"], "--d", 1), resolved["n"]
-    seed = parse_int(resolved["seed"] or 0, "--seed", 0)
+    seed = parse_int(resolved["seed"], "--seed", 0)
     means = resolved["means"]
     if means is None:
         # Evenly spaced directions at radius 3: separable but overlapping tails.
@@ -209,13 +216,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     _require(resolved, "data", "n_groups")
     task = _build_task(resolved)
     n_groups = parse_int(resolved["n_groups"], "--n-groups", 1)
-    dataset = data_mod.load_csv(resolved["data"], label_column=resolved["label_column"] or "label")
+    dataset = data_mod.load_csv(resolved["data"], label_column=resolved["label_column"])
     observations = data_mod.sample_groups(
         dataset,
         task,
         m=task.m,
         n_groups=n_groups,
-        seed=parse_int(resolved["seed"] or 0, "--seed", 0),
+        seed=parse_int(resolved["seed"], "--seed", 0),
         positive_label=resolved["positive_label"],
     )
     obs_path = _stem(args, resolved, f"{task.kind}_groups") + ".jsonl"
@@ -250,38 +257,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     arch = resolved["arch"] or task.spec.arch
     head = task.spec.head
-    seed = parse_int(resolved["seed"] or 0, "--seed", 0)
+    seed = parse_int(resolved["seed"], "--seed", 0)
 
-    profile = resolved["profile"] or "small"
-    warmup, warmup_epochs, confidence_cache = default_flags(task, profile)
-    # profile epoch budgets pair with the warm-up lengths above
-    epochs = resolved["epochs"] if resolved["epochs"] is not None else (200 if profile == "small" else 100)
-    method = resolved["method"] or "uum"
-    if method == "loglik":  # the likelihood baseline is the warm-up branch run for every epoch
+    # the derived defaults; the profile's epoch budget pairs with default_flags' warm-up length,
+    # which is cut to --epochs (a given length meets TrainConfig's rule instead)
+    warmup, warmup_epochs, cache = default_flags(task, resolved["profile"])
+    epochs = (200 if resolved["profile"] == "small" else 100) if resolved["epochs"] is None else resolved["epochs"]
+    if resolved["method"] == "loglik":  # the likelihood baseline is the warm-up branch run for every epoch
         if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:
             raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
         warmup, warmup_epochs = True, epochs
-    warmup_epochs = min(warmup_epochs, epochs)  # a default fits --epochs; a given value meets TrainConfig's rule
-    if resolved["warmup"] is not None:
-        warmup = bool(resolved["warmup"])
-    if resolved["warmup_epochs"] is not None:
-        warmup_epochs = resolved["warmup_epochs"]
-    if resolved["confidence_cache"] is not None:
-        confidence_cache = bool(resolved["confidence_cache"])
-
-    # options not given keep TrainConfig's defaults
-    given = {f: resolved[f] for f in ("batch_size", "val_fraction") if resolved[f] is not None}
-    train_config = TrainConfig(
-        epochs=epochs,
-        warmup=warmup,
-        warmup_epochs=warmup_epochs,
-        confidence_cache=confidence_cache,
-        learning_rate=resolved["learning_rate"],
-        seed=seed,
-        **given,
-    )
+    config = {"epochs": epochs, "warmup": warmup, "warmup_epochs": min(warmup_epochs, epochs),
+              "confidence_cache": cache, "learning_rate": DEFAULT_LR[arch]}
+    config.update({f.name: resolved[f.name] for f in fields(TrainConfig) if resolved[f.name] is not None})
+    train_config = TrainConfig(**config | {s: bool(config[s]) for s in ("warmup", "confidence_cache")})
+    if resolved["warmup_epochs"] and not train_config.warmup or resolved["warmup"] and not train_config.warmup_epochs:
+        raise ValueError(f"--warmup {train_config.warmup:d} with --warmup-epochs {train_config.warmup_epochs} leaves a "
+                         "given value unused: a warm-up needs --warmup 1 and --warmup-epochs above 0")
     resolved.update(train_config.to_json())
-    resolved.update({"arch": arch, "head": head, "method": method, "m": task.m, "k": task.k})
+    resolved.update({"arch": arch, "head": head, "m": task.m, "k": task.k})
 
     model = Classifier.create(arch, head, d=d, k=task.k, seed=seed)
     try:  # train() checks the observations against the task first
@@ -289,7 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"{resolved['obs']}: {exc}") from None
 
-    stem = _stem(args, resolved, f"{task.kind}_{method}")
+    stem = _stem(args, resolved, f"{task.kind}_{resolved['method']}")
     ckpt_path = stem + ".checkpoint.json"
     result.model.save(
         ckpt_path,
@@ -320,8 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint head {model.head!r} does not fit task {task.kind!r} "
             f"(expects {task.spec.head!r})"
         )
-    label_column = resolved["label_column"] or "label"
-    splits = {key: data_mod.load_csv(resolved[key], label_column=label_column)
+    splits = {key: data_mod.load_csv(resolved[key], label_column=resolved["label_column"])
               for key in ("data", "fit_data") if resolved[key]}
 
     # per-file first-appearance indexing is arbitrary; align every split to
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help="output directory (or $AGGLEARN_OUT_DIR)")
         for name, flag in OPTIONS[command].items():
             if flag is not None:
-                p.add_argument("--" + name.replace("_", "-"), dest=name, **flag)
+                p.add_argument("--" + name.replace("_", "-"), dest=name, **flag | {"default": None})
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the verification suites")

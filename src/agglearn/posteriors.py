@@ -252,10 +252,13 @@ def _level_order(z: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     cell c - e_j of cell p = c, or is the zero sentinel ``volume`` when c_j = 0.
     The box is built over the classes z holds: a class of count 0 is a size-1 axis, which
     moves neither the C order nor the levels, so its row is all sentinel and k may pass 64.
+    A box over ``MAX_LLP_BOX`` cells is refused before anything is built or cached.
     """
     held = [j for j, c in enumerate(z) if c] or [0]  # an empty group keeps one size-1 axis
     shape = tuple(z[j] + 1 for j in held)
     volume = math.prod(shape)
+    if (len(z) + 2) * volume > MAX_LLP_BOX:
+        raise ValueError(f"llp count box of volume {volume} needs {(len(z) + 2) * volume} cells, over {MAX_LLP_BOX}")
     level = functools.reduce(np.add.outer, [np.arange(n, dtype=np.min_scalar_type(sum(z))) for n in shape])
     order = np.argsort(level, axis=None, kind="stable")  # C-order index of each numbered cell
     starts = (0, *np.cumsum(np.bincount(level.ravel())).tolist())
@@ -303,11 +306,8 @@ def llp_kernel(etas, zs, joint=True):
     pz, joints = np.empty(len(etas)), np.empty(np.shape(etas)) if joint else None
     for g, (rows, z) in enumerate(zip(etas, zs, strict=True)):
         rows = _clamp_probs(rows)  # each group's own array, so a stack of one gives its bits
-        z = parse_counts(z, *rows.shape)
-        volume = math.prod(c + 1 for c in z)
-        if (len(z) + 2) * volume > MAX_LLP_BOX:
-            raise ValueError(f"llp count box of volume {volume} needs {(len(z) + 2) * volume} cells, over {MAX_LLP_BOX}")
-        starts, down = _llp_plan(z)
+        starts, down = _llp_plan(parse_counts(z, *rows.shape))
+        volume = down.shape[1]
         mass = np.zeros(volume + 1)  # index ``volume`` is the zero sentinel
         mass[0] = 1.0  # the empty count vector
         for eta, lo, hi in zip(rows, starts[1:-1], starts[2:]):
@@ -321,7 +321,7 @@ def llp_kernel(etas, zs, joint=True):
                 mass[lo:hi] = rows[i] @ rest
                 joints[g, i] = rest @ prefix[lo:hi]
             joints[g] *= rows
-    return np.maximum(pz, 0.0), np.maximum(joints, 0.0) if joint else None
+    return pz, joints
 
 
 def rank_event(cum, joint=True):
