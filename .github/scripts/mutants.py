@@ -170,14 +170,13 @@ MUTANTS = [
            'k = spec.k if resolved.get("k") is None else resolved["k"]', 'k = spec.k or resolved.get("k")',
            "killed"),  # test_aggregate_refuses_a_k_the_kind_fixes
     Mutant("src/agglearn/cli.py",
-           '        if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:\n'
-           '            raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")\n',
+           '    if resolved["method"] == "loglik" and (resolved["warmup"] is not None'
+           ' or resolved["warmup_epochs"] is not None):\n'
+           '        raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")\n',
            "",
            "killed"),  # test_loglik_refuses_a_given_warm_up
     Mutant("src/agglearn/cli.py",
-           '{s: bool(config[s]) for s in ("warmup", "confidence_cache")})',
-           '{s: bool(config[s]) for s in ("warmup", "confidence_cache")}'
-           ' | {"warmup_epochs": min(config["warmup_epochs"], config["epochs"])})',
+           "TrainConfig(**config)", 'TrainConfig(**config | {"warmup_epochs": min(config["warmup_epochs"], config["epochs"])})',
            "killed"),  # test_a_given_warm_up_longer_than_the_run_is_refused
     Mutant("src/agglearn/cli.py",
            'if len(fits) != (matched := task.spec.symmetry != "identity"):',
@@ -219,11 +218,10 @@ MUTANTS = [
            "",
            "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[pairwise-flags0]
     Mutant("src/agglearn/cli.py",
-           'if resolved["warmup_epochs"] and not train_config.warmup or resolved["warmup"]',
-           'if resolved["warmup"]',
+           'if (resolved["warmup"] or resolved["warmup_epochs"]) and', 'if resolved["warmup"] and',
            "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[pairwise-flags0]
     Mutant("src/agglearn/cli.py",
-           ' or resolved["warmup"] and not train_config.warmup_epochs:', ":",
+           'if (resolved["warmup"] or resolved["warmup_epochs"]) and', 'if resolved["warmup_epochs"] and',
            "killed"),  # TestUnusedWarmUp::test_a_flag_the_run_would_not_use_is_refused[llp-flags1]
     Mutant("src/agglearn/cli.py",
            "os.path.basename(resolved[\"name\"]) != resolved[\"name\"]", "False",
@@ -304,7 +302,7 @@ MUTANTS = [
            "killed"),  # test_p_alone_builds_no_joint_and_keeps_its_bits
     # the update path: warm-up length, batch mean, gradient forms, the EM refusal
     Mutant("src/agglearn/training.py",
-           "warm = config.warmup and epoch <= config.warmup_epochs", "warm = config.warmup and epoch < config.warmup_epochs",
+           "warm = epoch <= config.warmup_epochs", "warm = epoch < config.warmup_epochs",
            "killed"),  # test_acceptance.py::TestCriterion9AlgorithmFidelity::test_full_warmup_is_bit_identical_to_likelihood_baseline
     Mutant("src/agglearn/training.py",
            "adam_step(model, [g / contributed for g in grads], opt)", "adam_step(model, grads, opt)",
@@ -336,6 +334,13 @@ MUTANTS = [
     Mutant("src/agglearn/losses.py",
            "values = -np.log(np.maximum(probs, PROB_EPS))", "values = -np.log(np.maximum(probs, 1e-300))",
            "killed"),  # test_the_cross_entropy_value_floors_the_probability
+    # one warm-up form (tests/test_warmup_form.py) and the "all" summary of verify (tests/test_verify_all.py)
+    Mutant("src/agglearn/training.py",
+           "        self.warmup_epochs = self.warmup_epochs if self.warmup else 0\n", "",
+           "killed"),  # TestTrainConfig::test_every_way_to_write_no_warm_up_is_one_config
+    Mutant("src/agglearn/verify.py",
+           '"passed": all(r["passed"] for r in results)', '"passed": any(r["passed"] for r in results)',
+           "killed"),  # test_the_all_summary_lists_every_suite_in_order_and_fails_with_one
     # equivalent, or nearly so
     Mutant("src/agglearn/training.py",
            "            val_metric = likelihood / n_train\n",

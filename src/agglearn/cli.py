@@ -1,16 +1,16 @@
 """Command-line pipeline: synth -> aggregate -> train -> eval, plus verify/bench.
 
-synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags: a flag
-beats the config file, a given value is used or refused, never replaced, and a
-default (declared in ``OPTIONS``, or derived by train) fills only a gap both leave.
-A config key is its flag's name with underscores, typed and checked by ``OPTIONS``
-like the flag; an unknown key or a bad value is a usage error naming the file. An
-empty string, a --name holding a path separator, and a --warmup or --warmup-epochs
-the run would not use are refused naming them. Each command writes to one path
-stem: --name, else its default (dataset, <kind>_groups, <kind>_<method>,
-<kind>_report), in --out-dir, else $AGGLEARN_OUT_DIR, else the working directory.
-Artifacts carry the sha256 of the resolved configuration, defaults filled, that
-produced them (embedded in JSON artifacts, else in a sidecar ``<file>.meta.json``).
+synth, aggregate, train and eval take ``--config FILE`` (JSON) and flags: a flag beats
+the config file, a given value is used or refused, never replaced, and a default
+(declared in ``OPTIONS``, or derived by train) fills only a gap both leave. A config key
+is its flag's name with underscores, typed and checked by ``OPTIONS`` like the flag; an
+unknown key or a bad value is a usage error naming the file. An empty string, a --name
+holding a path separator, and a nonzero --warmup or --warmup-epochs in a run with no
+warm-up are refused naming them. Each command writes to one path stem: --name, else its
+default (dataset, <kind>_groups, <kind>_<method>, <kind>_report), in --out-dir, else
+$AGGLEARN_OUT_DIR, else the working directory. Artifacts carry the sha256 of the
+resolved configuration that produced them, defaults filled and train's warm-up in one
+form (embedded in JSON artifacts, else in a sidecar ``<file>.meta.json``).
 
 Exit codes: 0 success, 1 usage or configuration error (argparse's own errors
 included), 2 runtime abort, 3 verification failure.
@@ -237,6 +237,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     _require(resolved, "obs")
+    if resolved["method"] == "loglik" and (resolved["warmup"] is not None or resolved["warmup_epochs"] is not None):
+        raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
     observations = data_mod.load_observations(resolved["obs"])
     if resolved.get("task") is None:
         resolved["task"] = observations[0].task_kind
@@ -264,15 +266,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     warmup, warmup_epochs, cache = default_flags(task, resolved["profile"])
     epochs = (200 if resolved["profile"] == "small" else 100) if resolved["epochs"] is None else resolved["epochs"]
     if resolved["method"] == "loglik":  # the likelihood baseline is the warm-up branch run for every epoch
-        if resolved["warmup"] is not None or resolved["warmup_epochs"] is not None:
-            raise ValueError("--method loglik warms up for every epoch; drop --warmup and --warmup-epochs")
         warmup, warmup_epochs = True, epochs
     config = {"epochs": epochs, "warmup": warmup, "warmup_epochs": min(warmup_epochs, epochs),
               "confidence_cache": cache, "learning_rate": DEFAULT_LR[arch]}
     config.update({f.name: resolved[f.name] for f in fields(TrainConfig) if resolved[f.name] is not None})
-    train_config = TrainConfig(**config | {s: bool(config[s]) for s in ("warmup", "confidence_cache")})
-    if resolved["warmup_epochs"] and not train_config.warmup or resolved["warmup"] and not train_config.warmup_epochs:
-        raise ValueError(f"--warmup {train_config.warmup:d} with --warmup-epochs {train_config.warmup_epochs} leaves a "
+    train_config = TrainConfig(**config)  # one form: no warm-up is (False, 0), so runs that train alike hash alike
+    if (resolved["warmup"] or resolved["warmup_epochs"]) and not train_config.warmup:
+        raise ValueError(f"--warmup {config['warmup']:d} with --warmup-epochs {config['warmup_epochs']} leaves a "
                          "given value unused: a warm-up needs --warmup 1 and --warmup-epochs above 0")
     resolved.update(train_config.to_json())
     resolved.update({"arch": arch, "head": head, "m": task.m, "k": task.k})

@@ -2,9 +2,9 @@
 
 The loop alternates, per epoch, over shuffled groups:
 
-1. During the optional warm-up phase (``warmup`` and epoch <= ``warmup_epochs``)
-   every update maximizes the group log-likelihood directly; no importance
-   weights are involved.
+1. During the optional warm-up phase (epoch <= ``warmup_epochs``, stored as 0
+   exactly when ``warmup`` is false) every update maximizes the group
+   log-likelihood directly; no importance weights are involved.
 2. Afterwards each minibatch turns its groups' eta rows (per-instance
    class probabilities) into posterior weights and takes an
    importance-weighted loss step.
@@ -49,7 +49,8 @@ class TrainingAbortError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Knobs of the training loop; see the module docstring for semantics."""
+    """Knobs of the training loop; see the module docstring for semantics. Stored in one form (the switches
+    as bools, ``warmup`` true exactly when ``warmup_epochs`` > 0), so runs that train alike hash alike."""
 
     epochs: int
     warmup: bool = False
@@ -65,6 +66,8 @@ class TrainConfig:
         self.warmup_epochs = parse_int(self.warmup_epochs, "warmup_epochs")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
+        self.warmup_epochs = self.warmup_epochs if self.warmup else 0
+        self.warmup, self.confidence_cache = self.warmup_epochs > 0, bool(self.confidence_cache)
         self.batch_size = parse_int(self.batch_size, "batch_size", 1)
         self.seed = parse_int(self.seed, "seed", 0)
         if self.learning_rate is not None and not 0.0 < float(self.learning_rate) < np.inf:
@@ -185,7 +188,7 @@ def train(
     best_epoch = 0
 
     for epoch in range(1, config.epochs + 1):
-        warm = config.warmup and epoch <= config.warmup_epochs
+        warm = epoch <= config.warmup_epochs
         epoch_order = rng_shuffle.permutation(n_train)
         loss_sum = 0.0
         loss_groups = 0
